@@ -157,6 +157,10 @@ type assembler struct {
 	// rawLine is the text currently being processed (the expanded text
 	// inside macro bodies), used to recover token columns for diagnostics.
 	rawLine string
+	// ops is the operand buffer every line is split into, reused from line
+	// to line; whatever must outlive the line (macro parameters and
+	// arguments) is copied out of it.
+	ops []string
 
 	// defining is non-nil while between .macro and .endm.
 	defining     *macroDef
@@ -186,10 +190,19 @@ func AssembleWith(src string, enc isa.Encoding) (*Program, error) {
 		consts: make(map[string]int64),
 		macros: make(map[string]*macroDef),
 		enc:    enc,
+		// Most lines emit at most one item; the slice grows past that only
+		// for pseudo-instructions and macro expansions.
+		items: make([]item, 0, strings.Count(src, "\n")+1),
+		ops:   make([]string, 0, 3),
 	}
-	for i, raw := range strings.Split(src, "\n") {
-		a.line = i + 1
+	for line := 1; ; line++ {
+		raw, rest, more := strings.Cut(src, "\n")
+		a.line = line
 		a.doLine(raw)
+		if !more {
+			break
+		}
+		src = rest
 	}
 	if a.defining != nil {
 		a.errorf("unterminated .macro %q", a.definingName)
@@ -197,16 +210,24 @@ func AssembleWith(src string, enc isa.Encoding) (*Program, error) {
 	if len(a.errs) > 0 {
 		return nil, a.errs
 	}
-	// Pass 2: resolve references and encode.
-	p := &Program{Symbols: a.labels}
+	// Pass 2: resolve references and encode. The final location counter is
+	// the image size (modulo the 16-bit address space).
+	n := int(a.pc)
+	p := &Program{
+		Words:   make([]uint16, 0, n),
+		Symbols: a.labels,
+		Source:  make([]int, 0, n),
+		Data:    make([]bool, 0, n),
+	}
 	for _, it := range a.items {
-		words, err := a.resolve(it)
+		start := len(p.Words)
+		var err error
+		p.Words, err = a.resolve(p.Words, it)
 		if err != nil {
 			a.errs = append(a.errs, Error{Line: it.line, Col: it.col, Msg: err.Error()})
 			continue
 		}
-		for _, w := range words {
-			p.Words = append(p.Words, w)
+		for range p.Words[start:] {
 			p.Source = append(p.Source, it.line)
 			p.Data = append(p.Data, it.isData)
 		}
@@ -284,18 +305,23 @@ func (a *assembler) doLine(raw string) {
 		mnemonic, rest = s[:i], strings.TrimSpace(s[i+1:])
 	}
 	mnemonic = strings.ToLower(mnemonic)
-	if mnemonic == ".ascii" {
+	ops := a.ops[:0]
+	switch {
+	case mnemonic == ".ascii":
 		// String literals may contain commas; keep the rest intact.
-		a.doStatement(mnemonic, []string{rest})
-		return
-	}
-	var operands []string
-	if rest != "" {
-		for _, op := range strings.Split(rest, ",") {
-			operands = append(operands, strings.TrimSpace(op))
+		ops = append(ops, rest)
+	case rest != "":
+		for {
+			op, tail, more := strings.Cut(rest, ",")
+			ops = append(ops, strings.TrimSpace(op))
+			if !more {
+				break
+			}
+			rest = tail
 		}
 	}
-	a.doStatement(mnemonic, operands)
+	a.ops = ops
+	a.doStatement(mnemonic, ops)
 }
 
 func isIdent(s string) bool {
@@ -463,7 +489,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			a.errorf(".macro: redefinition of %q", name)
 			return
 		}
-		a.defining = &macroDef{params: ops[1:]}
+		a.defining = &macroDef{params: append([]string(nil), ops[1:]...)}
 		a.definingName = name
 	case ".endm":
 		a.errorf(".endm without .macro")
@@ -514,6 +540,9 @@ func (a *assembler) expandMacro(name string, def *macroDef, args []string) {
 		a.errorf("macro %s: expansion too deep (recursive?)", name)
 		return
 	}
+	// The body lines re-enter doLine, which reuses the operand buffer args
+	// may live in.
+	args = append([]string(nil), args...)
 	a.expandDepth++
 	a.expandID++
 	id := a.expandID
@@ -570,7 +599,7 @@ func (a *assembler) doQatMacro(mnemonic string, ops []string) {
 	if !a.wantOps(mnemonic, ops, want) {
 		return
 	}
-	regs := make([]uint8, len(ops))
+	var regs [3]uint8
 	for i, op := range ops {
 		r, err := parseQReg(op)
 		if err != nil {
@@ -883,35 +912,36 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 	a.emit(inst, ref, kind)
 }
 
-// resolve patches label references and encodes one item to words.
-func (a *assembler) resolve(it item) ([]uint16, error) {
+// resolve patches label references and appends one item's words to dst.
+// On error dst is returned unchanged.
+func (a *assembler) resolve(dst []uint16, it item) ([]uint16, error) {
 	if it.isData {
 		w := it.data
 		if it.kind == refWord {
 			v, err := a.symbolValue(it.ref)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			w = uint16(v)
 		}
-		return []uint16{w}, nil
+		return append(dst, w), nil
 	}
 	inst := it.inst
 	if it.kind != refNone {
 		if it.kind == refImm8 {
 			v, ok := a.consts[it.ref]
 			if !ok {
-				return nil, fmt.Errorf("undefined constant %q", it.ref)
+				return dst, fmt.Errorf("undefined constant %q", it.ref)
 			}
 			if v < -128 || v > 255 {
-				return nil, fmt.Errorf("constant %q = %d does not fit in 8 bits", it.ref, v)
+				return dst, fmt.Errorf("constant %q = %d does not fit in 8 bits", it.ref, v)
 			}
 			inst.Imm = int8(uint16(v) & 0xFF)
-			return a.enc.Encode(inst)
+			return a.enc.Encode(dst, inst)
 		}
 		v, err := a.symbolValue(it.ref)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		switch it.kind {
 		case refBranch:
@@ -922,7 +952,7 @@ func (a *assembler) resolve(it item) ([]uint16, error) {
 				off = int32(int16(v))
 			}
 			if off < -128 || off > 127 {
-				return nil, fmt.Errorf("branch to %q out of range (%d words); use jump", it.ref, off)
+				return dst, fmt.Errorf("branch to %q out of range (%d words); use jump", it.ref, off)
 			}
 			inst.Imm = int8(off)
 		case refLow:
@@ -931,7 +961,7 @@ func (a *assembler) resolve(it item) ([]uint16, error) {
 			inst.Imm = int8(v >> 8)
 		}
 	}
-	return a.enc.Encode(inst)
+	return a.enc.Encode(dst, inst)
 }
 
 // symbolValue resolves a symbol: labels first, then .equ constants.

@@ -7,7 +7,7 @@ import (
 	"tangled/internal/isa"
 )
 
-func mustAssemble(t *testing.T, src string) *Program {
+func mustAssemble(t testing.TB, src string) *Program {
 	t.Helper()
 	p, err := Assemble(src)
 	if err != nil {
@@ -439,6 +439,39 @@ func BenchmarkAssembleLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Assemble(src); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAssembleFig10 assembles the 16-way Figure 10 program for 221
+// (8x8-bit operands), the largest program of the batch factoring mix.
+func BenchmarkAssembleFig10(b *testing.B) {
+	src, _ := fig10Source(b, 221, 16)
+	p := mustAssemble(b, src)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Assemble(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(p.Words)), "ns/word")
+}
+
+// TestAssembleFig10Allocs bounds the heap allocations of one assembly: a
+// fixed handful per program (the assembler state, its tables and the output
+// slices), not a number that grows with the lines or instructions.
+func TestAssembleFig10Allocs(t *testing.T) {
+	for _, n := range []uint64{15, 221} {
+		src, _ := fig10Source(t, n, 16)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Assemble(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("n=%d: %.0f allocations per Assemble, want <= 16", n, allocs)
 		}
 	}
 }

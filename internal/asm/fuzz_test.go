@@ -15,6 +15,17 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("and @1,@2,@3\nnext $0,@80\n")
 	f.Add(`.ascii "hi"` + "\n")
 	f.Add("loadi $3,0xABCD\njumpf $1,done\ndone: sys\n")
+	// Nested user macros that hand their own arguments on as operand lists:
+	// every expansion re-enters the line parser, which reuses its operand
+	// buffer, while the outer expansion still needs its arguments.
+	f.Add(".macro pair d s\ncopy \\d,\\s\nadd \\d,\\s\n.endm\n" +
+		".macro trio a b c\npair \\a,\\b\npair \\b,\\c\npair \\c,\\a\n.endm\n" +
+		"trio $1,$2,$3\ntrio $4,$5,$6\n")
+	f.Add(".macro inner q r\nswap \\q,\\r\n.endm\n" +
+		".macro outer x y z\nand \\x,\\y,\\z\ninner \\z,\\y\nxor \\x,\\y,\\z\n.endm\n" +
+		"outer @1,@2,@3\nouter @200,@201,@255\n")
+	f.Add(".macro spin r n\nlex \\r,\\n\nlex $at,-1\nloop$: add \\r,$at\nbrt \\r,loop$\n.endm\n" +
+		".macro twice a b\nspin \\a,3\nspin \\b,4\n.endm\ntwice $1,$2\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Assemble(src)
 		if err != nil {

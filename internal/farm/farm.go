@@ -303,9 +303,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, Stats) {
 }
 
 // runJob executes one job on the calling worker goroutine.
-func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o *Obs) Result {
-	res := Result{Job: i, Name: j.Name}
+func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o *Obs) (res Result) {
+	res = Result{Job: i, Name: j.Name}
 	start := time.Now()
+	// res is the named result, so this runs after every return has stored
+	// into it and the caller sees the duration.
 	defer func() { res.Duration = time.Since(start) }()
 	if o != nil {
 		o.InFlight.Add(1)

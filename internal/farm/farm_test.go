@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"tangled/internal/cpu"
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
+	"tangled/internal/obs"
 	"tangled/internal/pipeline"
 )
 
@@ -375,5 +377,39 @@ func TestPerJobContext(t *testing.T) {
 	}
 	if stats.Errors != 2 {
 		t.Errorf("stats.Errors = %d, want 2", stats.Errors)
+	}
+}
+
+// TestResultDurationRecorded: every job that runs reports its wall-clock
+// time in Result.Duration — functional, pipelined and failing alike — and
+// the farm_job_seconds histogram observes those same nonzero values.
+func TestResultDurationRecorded(t *testing.T) {
+	reg := obs.NewRegistry()
+	fo := farm.NewObs(reg)
+	e := farm.New(2)
+	e.SetObs(fo)
+	pcfg := pipeline.DefaultConfig()
+	pcfg.Ways = 4
+	jobs := []farm.Job{
+		{Name: "functional", Src: countdownSrc(50), Ways: 4},
+		{Name: "pipelined", Src: countdownSrc(50), Mode: farm.Pipelined, Pipeline: pcfg},
+		{Name: "bad-asm", Src: "frob $1"},
+	}
+	results, _ := e.Run(context.Background(), jobs)
+	var sum time.Duration
+	for _, r := range results {
+		if r.Duration <= 0 {
+			t.Errorf("%s: Duration %v, want > 0 (err %v)", r.Name, r.Duration, r.Err)
+		}
+		sum += r.Duration
+	}
+	if results[2].Err == nil {
+		t.Fatal("bad-asm job assembled")
+	}
+	if got := fo.JobSeconds.Count(); got != uint64(len(jobs)) {
+		t.Fatalf("farm_job_seconds count %d, want %d", got, len(jobs))
+	}
+	if got := fo.JobSeconds.Sum(); got <= 0 || math.Abs(got-sum.Seconds()) > 1e-9 {
+		t.Errorf("farm_job_seconds sum %g, want the jobs' total %g > 0", got, sum.Seconds())
 	}
 }

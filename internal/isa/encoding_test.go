@@ -11,7 +11,7 @@ import (
 func TestStudentEncodingRoundTrip(t *testing.T) {
 	for _, op := range allOps() {
 		in := sampleInst(op)
-		words, err := Student.Encode(in)
+		words, err := Student.Encode(nil, in)
 		if err != nil {
 			t.Fatalf("%s: %v", op.Name(), err)
 		}
@@ -35,8 +35,8 @@ func TestEncodingsDiffer(t *testing.T) {
 	diff := 0
 	for _, op := range allOps() {
 		in := sampleInst(op)
-		a, _ := Primary.Encode(in)
-		b, _ := Student.Encode(in)
+		a, _ := Primary.Encode(nil, in)
+		b, _ := Student.Encode(nil, in)
 		if a[0] != b[0] {
 			diff++
 		}
@@ -59,11 +59,10 @@ func TestStudentZeroWordTraps(t *testing.T) {
 func TestCrossTranscode(t *testing.T) {
 	var words []uint16
 	for _, op := range allOps() {
-		w, err := Primary.Encode(sampleInst(op))
-		if err != nil {
+		var err error
+		if words, err = Primary.Encode(words, sampleInst(op)); err != nil {
 			t.Fatal(err)
 		}
-		words = append(words, w...)
 	}
 	student, err := Transcode(words, Primary, Student)
 	if err != nil {
@@ -91,7 +90,7 @@ func TestStudentDecodeTotalProperty(t *testing.T) {
 		if err != nil {
 			return n == 1
 		}
-		words, err := Student.Encode(inst)
+		words, err := Student.Encode(nil, inst)
 		if err != nil || len(words) != n {
 			return false
 		}
@@ -110,8 +109,8 @@ func TestPrimaryEncodingWrapper(t *testing.T) {
 		t.Error("names")
 	}
 	in := Inst{Op: OpAdd, RD: 1, RS: 2}
-	a, _ := Primary.Encode(in)
-	b, _ := Encode(in)
+	a, _ := Primary.Encode(nil, in)
+	b, _ := Encode(nil, in)
 	if a[0] != b[0] {
 		t.Error("Primary wrapper diverges from package functions")
 	}

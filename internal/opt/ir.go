@@ -138,15 +138,16 @@ func (r *ir) emit() (*asm.Program, error) {
 			}
 			inst.Imm = int8(off)
 		}
-		ws, err := r.opts.Enc.Encode(inst)
+		start := len(p.Words)
+		var err error
+		p.Words, err = r.opts.Enc.Encode(p.Words, inst)
 		if err != nil {
 			return nil, fmt.Errorf("opt: re-encode at %#04x: %w", n.fact.Addr, err)
 		}
-		if len(ws) != inst.Words() {
-			return nil, fmt.Errorf("opt: re-encode at %#04x: %d words, want %d", n.fact.Addr, len(ws), inst.Words())
+		if got := len(p.Words) - start; got != inst.Words() {
+			return nil, fmt.Errorf("opt: re-encode at %#04x: %d words, want %d", n.fact.Addr, got, inst.Words())
 		}
-		p.Words = append(p.Words, ws...)
-		for range ws {
+		for range p.Words[start:] {
 			p.Source = append(p.Source, n.fact.Line)
 		}
 	}

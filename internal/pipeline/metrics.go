@@ -106,9 +106,9 @@ func (p *Pipeline) SetTraceSink(s obs.TraceSink) { p.ring = s }
 
 // observe folds one completed cycle into the counters and the trace ring.
 // pre is the Stats snapshot from before the cycle, occupied the start-of-
-// cycle validity of each stage, and stages the start-of-cycle occupancy
-// rendering (nil unless tracing).
-func (p *Pipeline) observe(pre Stats, occupied []bool, stages []string, pc uint16, done bool) {
+// cycle validity of each stage (bit i for stage i), and stages the
+// start-of-cycle occupancy rendering (nil unless tracing).
+func (p *Pipeline) observe(pre Stats, occupied uint8, stages []string, pc uint16, done bool) {
 	d := struct{ loadUse, raw, exBusy, fetch, flush, flushes, retired uint64 }{
 		loadUse: p.Stats.LoadUseStalls - pre.LoadUseStalls,
 		raw:     p.Stats.RawStalls - pre.RawStalls,
@@ -121,8 +121,8 @@ func (p *Pipeline) observe(pre Stats, occupied []bool, stages []string, pc uint1
 	if mm := p.met; mm != nil {
 		mm.Cycles.Inc()
 		mm.Retired.Add(d.retired)
-		for st, v := range occupied {
-			if v {
+		for st := range p.lat {
+			if occupied&(1<<st) != 0 {
 				mm.StageOccupancy.At(p.stageLabelIdx[st]).Inc()
 			}
 		}
@@ -134,7 +134,7 @@ func (p *Pipeline) observe(pre Stats, occupied []bool, stages []string, pc uint1
 		mm.BranchFlushes.Add(d.flushes)
 	}
 	if p.ring != nil {
-		var causes []string
+		causes := make([]string, 0, 6)
 		if d.loadUse > 0 {
 			causes = append(causes, "load-use")
 		}

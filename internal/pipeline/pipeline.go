@@ -203,34 +203,36 @@ func (p *Pipeline) idIdx() int { return 1 }
 func (p *Pipeline) exIdx() int { return 2 }
 func (p *Pipeline) wbIdx() int { return p.cfg.Stages - 1 }
 
-// regsRead returns the Tangled registers an instruction reads.
-func regsRead(inst isa.Inst) []uint8 {
+// regsRead returns the Tangled registers an instruction reads: the first n
+// entries of regs. An array rather than a slice keeps the per-cycle hazard
+// check off the heap.
+func regsRead(inst isa.Inst) (regs [2]uint8, n int) {
 	switch inst.Op {
 	case isa.OpLex:
-		return nil
+		return regs, 0
 	case isa.OpSys:
 		// sys reads the service selector in $0 and the argument in $1.
-		return []uint8{0, 1}
+		return [2]uint8{0, 1}, 2
 	case isa.OpLhi:
-		return []uint8{inst.RD} // merges into the existing low byte
+		return [2]uint8{inst.RD}, 1 // merges into the existing low byte
 	case isa.OpBrf, isa.OpBrt, isa.OpJumpr:
-		return []uint8{inst.RD}
+		return [2]uint8{inst.RD}, 1
 	case isa.OpLoad:
-		return []uint8{inst.RS}
+		return [2]uint8{inst.RS}, 1
 	case isa.OpStore:
-		return []uint8{inst.RD, inst.RS}
+		return [2]uint8{inst.RD, inst.RS}, 2
 	case isa.OpQMeas, isa.OpQNext, isa.OpQPop:
-		return []uint8{inst.RD} // the channel index input
+		return [2]uint8{inst.RD}, 1 // the channel index input
 	case isa.OpFloat, isa.OpInt, isa.OpNeg, isa.OpNegf, isa.OpNot, isa.OpRecip:
-		return []uint8{inst.RD}
+		return [2]uint8{inst.RD}, 1
 	case isa.OpCopy:
-		return []uint8{inst.RS}
+		return [2]uint8{inst.RS}, 1
 	default:
 		if inst.Op.IsQat() {
-			return nil // pure coprocessor op touches no Tangled registers
+			return regs, 0 // pure coprocessor op touches no Tangled registers
 		}
 		// Two-operand ALU forms read both.
-		return []uint8{inst.RD, inst.RS}
+		return [2]uint8{inst.RD, inst.RS}, 2
 	}
 }
 
@@ -262,10 +264,11 @@ func (p *Pipeline) hazardStall() (stall, loadUse bool) {
 	if !id.valid || id.decodeErr != nil {
 		return false, false
 	}
-	srcs := regsRead(id.inst)
-	if len(srcs) == 0 {
+	regs, n := regsRead(id.inst)
+	if n == 0 {
 		return false, false
 	}
+	srcs := regs[:n]
 	// Producers between EX and the stage before WB cannot yet be read from
 	// the register file; WB occupants can (split-phase write/read).
 	for st := p.exIdx(); st < p.wbIdx(); st++ {
@@ -309,15 +312,19 @@ func (p *Pipeline) Cycle() (bool, error) {
 	// Capture the start-of-cycle view (the latch state a waveform viewer
 	// would show), run the clock, then account what the cycle did.
 	pre := p.Stats
-	occupied := make([]bool, len(p.lat))
+	var occupied uint8 // bit i: stage i held an instruction
 	for i := range p.lat {
-		occupied[i] = p.lat[i].valid
+		if p.lat[i].valid {
+			occupied |= 1 << i
+		}
 	}
-	var stages []string
 	pc := p.fetchPC
 	if ex := p.lat[p.exIdx()]; ex.valid {
 		pc = ex.pc
 	}
+	// The trace ring keeps each event's stage rendering, so a traced cycle
+	// renders into a fresh slice; with metrics alone nothing is allocated.
+	var stages []string
 	if p.ring != nil {
 		stages = p.Occupancy()
 	}

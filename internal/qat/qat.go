@@ -11,6 +11,7 @@ package qat
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tangled/internal/aob"
 	"tangled/internal/energy"
@@ -30,6 +31,11 @@ type Coprocessor struct {
 	// reserved marks registers exposed as hard-wired constants (the
 	// Section 5 simplification); writes to them report an error.
 	reserved [isa.NumQRegs]bool
+
+	// dirty marks the registers written since the last Reset, register r at
+	// bit r%64 of word r/64: checkWrite and SetReg set it, so Reset zeroes
+	// only what a run touched instead of the whole 256-register file.
+	dirty [isa.NumQRegs / 64]uint64
 
 	// Ops counts executed Qat operations, by opcode.
 	Ops map[isa.Op]uint64
@@ -134,12 +140,15 @@ func (q *Coprocessor) SetReg(qa uint8, v *aob.Vector) {
 		return
 	}
 	q.regs[qa] = v.Clone()
+	q.markDirty(qa)
 }
 
 // Reset clears all non-reserved registers and the per-opcode counters. It
 // reuses every allocation — register vectors are zeroed in place and the Ops
 // map is emptied rather than replaced — so a pooled coprocessor can be reset
-// between runs without touching the heap. An attached Meter is deliberately
+// between runs without touching the heap. On the dense backend only the
+// registers written since the last Reset are zeroed; every other one still
+// holds the zero it was last left with. An attached Meter is deliberately
 // left accumulating (metering spans runs by design); detach or reset it
 // separately when a machine changes tenants.
 func (q *Coprocessor) Reset() {
@@ -154,23 +163,32 @@ func (q *Coprocessor) Reset() {
 		// way the dense path keeps its allocations: it is a cache, bounded
 		// by its own cap, and carries no channel state.
 	} else {
-		for i := range q.regs {
-			if !q.reserved[i] {
-				q.regs[i].Zero()
+		for w, m := range q.dirty {
+			for ; m != 0; m &= m - 1 {
+				if i := w*64 + bits.TrailingZeros64(m); !q.reserved[i] {
+					q.regs[i].Zero()
+				}
 			}
 		}
 	}
+	q.dirty = [len(q.dirty)]uint64{}
 	for k := range q.Ops {
 		delete(q.Ops, k)
 	}
 }
 
+// checkWrite rejects writes to reserved constants and marks every other
+// register about to be written dirty. Each write op calls it for every
+// register it writes before touching any of them.
 func (q *Coprocessor) checkWrite(qa uint8) error {
 	if q.reserved[qa] {
 		return fmt.Errorf("qat: write to reserved constant register @%d", qa)
 	}
+	q.markDirty(qa)
 	return nil
 }
+
+func (q *Coprocessor) markDirty(qa uint8) { q.dirty[qa/64] |= 1 << (qa % 64) }
 
 // Exec executes one Qat instruction. rd carries the Tangled register value
 // consumed by meas/next/pop; the returned value and flag report a Tangled
