@@ -2,20 +2,20 @@ package cluster
 
 // Routing-key derivation: the coordinator keys each run on the same memo
 // ExecKey the worker will compute, so a repeated program consistently lands
-// on the node whose cache already holds the entry. The derivation mirrors
-// farm.jobKey / server.buildJob — assemble src, canonicalize the Qat
-// config, clamp the step budget — with one deliberate divergence: a
-// backend:"auto" request is keyed under a router-only pseudo-backend
-// instead of being planned here. Planning needs the per-node profile and
-// memo probe; the router only needs *stability* (same request → same
-// node), and the chosen node's own planner then resolves and memoizes it.
+// on the node whose cache already holds the entry. The derivation shares
+// the worker's helpers — RunRequest.StepBudget clamps the budget,
+// RunRequest.PipelineConfig builds the pipelined organization, and
+// memo.ExecKey.SetQat keys the canonical Qat config as farm.jobKey does —
+// with one deliberate divergence: a backend:"auto" request is keyed under a
+// router-only pseudo-backend instead of being planned here. Planning needs
+// the per-node profile and memo probe; the router only needs *stability*
+// (same request → same node), and the chosen node's own planner then
+// resolves and memoizes it.
 
 import (
 	"tangled/internal/asm"
 	"tangled/internal/backend"
 	"tangled/internal/memo"
-	"tangled/internal/pipeline"
-	"tangled/internal/qasm"
 	"tangled/internal/qat"
 	"tangled/internal/server"
 )
@@ -47,18 +47,10 @@ func RouteKey(req *server.RunRequest) (uint64, bool) {
 	// Clamp against the default ceiling. A worker running with a custom
 	// -max-steps may key under a different budget than we route on; that
 	// costs locality for over-budget requests, never correctness.
-	ek := memo.ExecKey{MaxSteps: clampSteps(req.MaxSteps), Words: words}
+	ek := memo.ExecKey{MaxSteps: req.StepBudget(0), Words: words}
 	if req.Mode == "pipelined" {
 		ek.Pipelined = true
-		cfg := pipeline.DefaultConfig()
-		if req.Stages != 0 {
-			cfg.Stages = req.Stages
-		}
-		if req.Ways != 0 {
-			cfg.Ways = req.Ways
-		}
-		cfg.ConstantRegs = req.ConstRegs
-		ek.Pipeline = cfg
+		ek.Pipeline = req.PipelineConfig()
 		return ek.Sum().Uint64(), true
 	}
 	if req.Backend == backend.Auto {
@@ -72,21 +64,6 @@ func RouteKey(req *server.RunRequest) (uint64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	ek.Ways = cfg.Ways
-	ek.ConstantRegs = cfg.ConstantRegs
-	if cfg.Backend == qat.BackendRE {
-		ek.Backend = 1
-		ek.REChunkWays = uint8(cfg.ChunkWays)
-		ek.RESpillRuns = int32(cfg.SpillRuns)
-	}
+	ek.SetQat(cfg)
 	return ek.Sum().Uint64(), true
-}
-
-// clampSteps resolves a request budget against the default qasm ceiling,
-// like RunRequest.maxSteps does server-side with a zero cap.
-func clampSteps(steps uint64) uint64 {
-	if steps == 0 || steps > qasm.MaxSteps {
-		return qasm.MaxSteps
-	}
-	return steps
 }

@@ -28,24 +28,25 @@ const (
 
 var classNames = [numClasses]string{"alu", "branch", "mem", "float", "sys", "qat-gate", "qat-read"}
 
-// classOf buckets an opcode into its cycle-accounting class.
+// classOf buckets an opcode into its cycle-accounting class, read from the
+// isa table.
 func classOf(op isa.Op) int {
-	switch op {
-	case isa.OpBrf, isa.OpBrt, isa.OpJumpr:
+	f := op.Facts()
+	switch {
+	case f.Control:
 		return classBranch
-	case isa.OpLoad, isa.OpStore:
+	case f.MemRead || f.MemWrite:
 		return classMem
-	case isa.OpAddf, isa.OpMulf, isa.OpNegf, isa.OpRecip, isa.OpFloat, isa.OpInt:
+	case f.Float:
 		return classFloat
-	case isa.OpSys:
+	case f.MayHalt:
 		return classSys
-	case isa.OpQMeas, isa.OpQNext, isa.OpQPop:
-		return classQatRead
-	default:
-		if op.IsQat() {
-			return classQatGate
-		}
+	case !op.IsQat():
 		return classALU
+	case f.Writes&isa.SlotRD != 0:
+		return classQatRead // meas/next/pop deliver into a Tangled register
+	default:
+		return classQatGate
 	}
 }
 

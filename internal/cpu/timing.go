@@ -18,13 +18,13 @@ import "tangled/internal/isa"
 // MultiCyclesFor returns the multi-cycle machine's state count for one
 // instruction.
 func MultiCyclesFor(inst isa.Inst) uint64 {
+	f := inst.Op.Facts()
 	n := uint64(inst.Words()) // fetch states
 	n += 2                    // decode + execute
-	switch inst.Op {
-	case isa.OpLoad, isa.OpStore:
+	if f.MemRead || f.MemWrite {
 		n++ // memory state
 	}
-	if inst.Op.WritesTangledReg() {
+	if f.Writes&isa.SlotRD != 0 {
 		n++ // write-back state
 	}
 	return n

@@ -42,13 +42,15 @@ const (
 	ReadOnly
 )
 
-// Classify returns the thermodynamic class of a Qat operation. Non-Qat
-// operations classify as ReadOnly (they never touch AoB state).
+// Classify returns the thermodynamic class of a Qat operation, read from
+// the isa table. Non-Qat operations classify as ReadOnly (they never touch
+// AoB state).
 func Classify(op isa.Op) Class {
-	switch op {
-	case isa.OpQNot, isa.OpQCnot, isa.OpQCcnot, isa.OpQSwap, isa.OpQCswap:
+	f := op.Facts()
+	switch {
+	case f.Reversible:
 		return Reversible
-	case isa.OpQAnd, isa.OpQOr, isa.OpQXor, isa.OpQZero, isa.OpQOne, isa.OpQHad:
+	case f.QWrites() > 0:
 		return Irreversible
 	default:
 		return ReadOnly
@@ -80,14 +82,8 @@ func StaticCost(op isa.Op, ways int) (switched, erased uint64) {
 	if ways > aob.MaxWays {
 		ways = aob.MaxWays
 	}
-	var writes uint64
-	switch op {
-	case isa.OpQSwap, isa.OpQCswap:
-		writes = 2
-	case isa.OpQZero, isa.OpQOne, isa.OpQHad, isa.OpQNot,
-		isa.OpQAnd, isa.OpQOr, isa.OpQXor, isa.OpQCnot, isa.OpQCcnot:
-		writes = 1
-	default:
+	writes := uint64(op.Facts().QWrites())
+	if writes == 0 {
 		return 0, 0
 	}
 	switched = writes << uint(ways)

@@ -19,7 +19,6 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/memo"
 	"tangled/internal/pipeline"
-	"tangled/internal/qat"
 )
 
 // SetMemo attaches (or with nil detaches) the engine-wide execution cache.
@@ -64,13 +63,7 @@ func jobKey(j *Job, prog *asm.Program, maxSteps uint64) memo.Key {
 		// zeros), so equivalent spellings hash identically. Invalid configs
 		// still key consistently; the execution path reports their error.
 		cfg, _ := j.qatConfig()
-		ek.Ways = cfg.Ways
-		ek.ConstantRegs = cfg.ConstantRegs
-		if cfg.Backend == qat.BackendRE {
-			ek.Backend = 1
-			ek.REChunkWays = uint8(cfg.ChunkWays)
-			ek.RESpillRuns = int32(cfg.SpillRuns)
-		}
+		ek.SetQat(cfg)
 	}
 	return ek.Sum()
 }

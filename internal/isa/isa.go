@@ -144,53 +144,6 @@ const (
 	FmtQ3                  // op @a,@b,@c  (and, or, xor, ccnot, cswap) — two words
 )
 
-// Info is per-op metadata.
-type Info struct {
-	Name   string
-	Format Format
-}
-
-var opInfo = [numOps]Info{
-	OpAdd:    {"add", FmtRR},
-	OpAddf:   {"addf", FmtRR},
-	OpAnd:    {"and", FmtRR},
-	OpBrf:    {"brf", FmtBr},
-	OpBrt:    {"brt", FmtBr},
-	OpCopy:   {"copy", FmtRR},
-	OpFloat:  {"float", FmtR},
-	OpInt:    {"int", FmtR},
-	OpJumpr:  {"jumpr", FmtR},
-	OpLex:    {"lex", FmtRI},
-	OpLhi:    {"lhi", FmtRI},
-	OpLoad:   {"load", FmtRR},
-	OpMul:    {"mul", FmtRR},
-	OpMulf:   {"mulf", FmtRR},
-	OpNeg:    {"neg", FmtR},
-	OpNegf:   {"negf", FmtR},
-	OpNot:    {"not", FmtR},
-	OpOr:     {"or", FmtRR},
-	OpRecip:  {"recip", FmtR},
-	OpShift:  {"shift", FmtRR},
-	OpSlt:    {"slt", FmtRR},
-	OpStore:  {"store", FmtRR},
-	OpSys:    {"sys", FmtNone},
-	OpXor:    {"xor", FmtRR},
-	OpQZero:  {"zero", FmtQ1},
-	OpQOne:   {"one", FmtQ1},
-	OpQNot:   {"qnot", FmtQ1},
-	OpQHad:   {"had", FmtQHad},
-	OpQMeas:  {"meas", FmtQMeas},
-	OpQNext:  {"next", FmtQMeas},
-	OpQAnd:   {"qand", FmtQ3},
-	OpQOr:    {"qor", FmtQ3},
-	OpQXor:   {"qxor", FmtQ3},
-	OpQCnot:  {"cnot", FmtQ2},
-	OpQCcnot: {"ccnot", FmtQ3},
-	OpQSwap:  {"swap", FmtQ2},
-	OpQCswap: {"cswap", FmtQ3},
-	OpQPop:   {"pop", FmtQMeas},
-}
-
 // Name returns the canonical mnemonic. Note that the Qat and/or/xor/not
 // mnemonics collide with the Tangled ones in the paper's tables; in
 // assembly source they are distinguished by operand sigils (the assembler
@@ -198,7 +151,7 @@ var opInfo = [numOps]Info{
 // q prefix to stay unambiguous.
 func (op Op) Name() string {
 	if op < numOps {
-		return opInfo[op].Name
+		return table[op].Name
 	}
 	return fmt.Sprintf("op?%d", uint8(op))
 }
@@ -206,7 +159,7 @@ func (op Op) Name() string {
 // Fmt returns the operand format for op.
 func (op Op) Fmt() Format {
 	if op < numOps {
-		return opInfo[op].Format
+		return table[op].Format
 	}
 	return FmtNone
 }
@@ -214,18 +167,6 @@ func (op Op) Fmt() Format {
 // IsQat reports whether op executes on the Qat coprocessor (including the
 // meas/next/pop instructions that deliver results to Tangled registers).
 func (op Op) IsQat() bool { return op >= OpQZero && op < numOps }
-
-// WritesTangledReg reports whether op writes a Tangled general register.
-func (op Op) WritesTangledReg() bool {
-	switch op {
-	case OpQMeas, OpQNext, OpQPop:
-		return true
-	case OpBrf, OpBrt, OpStore, OpSys, OpJumpr:
-		return false
-	default:
-		return !op.IsQat()
-	}
-}
 
 // Inst is one decoded instruction.
 type Inst struct {

@@ -192,21 +192,6 @@ func TestRegNames(t *testing.T) {
 	}
 }
 
-func TestWritesTangledReg(t *testing.T) {
-	writes := []Op{OpAdd, OpLex, OpLhi, OpCopy, OpLoad, OpQMeas, OpQNext, OpQPop, OpSlt}
-	noWrites := []Op{OpBrf, OpBrt, OpStore, OpSys, OpJumpr, OpQAnd, OpQHad, OpQZero}
-	for _, op := range writes {
-		if !op.WritesTangledReg() {
-			t.Errorf("%s should write a Tangled register", op.Name())
-		}
-	}
-	for _, op := range noWrites {
-		if op.WritesTangledReg() {
-			t.Errorf("%s should not write a Tangled register", op.Name())
-		}
-	}
-}
-
 func TestIsQat(t *testing.T) {
 	if OpAdd.IsQat() || OpSys.IsQat() || OpXor.IsQat() {
 		t.Error("Tangled op classified as Qat")

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"tangled/internal/pipeline"
+	"tangled/internal/qat"
 )
 
 // keySchema versions the key derivation. It covers everything implicit in
@@ -84,6 +85,19 @@ type ExecKey struct {
 	MaxSteps uint64
 	// Words is the assembled program image loaded at address 0.
 	Words []uint16
+}
+
+// SetQat fills the functional coprocessor fields from cfg, which must
+// already be canonical (defaults resolved, as backend.Canonicalize leaves
+// it). Dense configs leave the run-encoded fields zero.
+func (k *ExecKey) SetQat(cfg qat.Config) {
+	k.Ways = cfg.Ways
+	k.ConstantRegs = cfg.ConstantRegs
+	if cfg.Backend == qat.BackendRE {
+		k.Backend = 1
+		k.REChunkWays = uint8(cfg.ChunkWays)
+		k.RESpillRuns = int32(cfg.SpillRuns)
+	}
 }
 
 // Sum derives the canonical SHA-256 key. Every field is serialized at a

@@ -136,6 +136,10 @@ type slot struct {
 	// decodeErr defers illegal-instruction faults until the slot reaches
 	// EX; wrong-path garbage gets squashed instead of faulting.
 	decodeErr error
+	// reads and writes are the Tangled registers inst reads and writes
+	// (bit r = $r), projected from the isa table once at fetch; both are
+	// zero for a slot that failed to decode.
+	reads, writes uint16
 }
 
 // Pipeline is one pipelined Tangled/Qat machine instance.
@@ -203,53 +207,12 @@ func (p *Pipeline) idIdx() int { return 1 }
 func (p *Pipeline) exIdx() int { return 2 }
 func (p *Pipeline) wbIdx() int { return p.cfg.Stages - 1 }
 
-// regsRead returns the Tangled registers an instruction reads: the first n
-// entries of regs. An array rather than a slice keeps the per-cycle hazard
-// check off the heap.
-func regsRead(inst isa.Inst) (regs [2]uint8, n int) {
-	switch inst.Op {
-	case isa.OpLex:
-		return regs, 0
-	case isa.OpSys:
-		// sys reads the service selector in $0 and the argument in $1.
-		return [2]uint8{0, 1}, 2
-	case isa.OpLhi:
-		return [2]uint8{inst.RD}, 1 // merges into the existing low byte
-	case isa.OpBrf, isa.OpBrt, isa.OpJumpr:
-		return [2]uint8{inst.RD}, 1
-	case isa.OpLoad:
-		return [2]uint8{inst.RS}, 1
-	case isa.OpStore:
-		return [2]uint8{inst.RD, inst.RS}, 2
-	case isa.OpQMeas, isa.OpQNext, isa.OpQPop:
-		return [2]uint8{inst.RD}, 1 // the channel index input
-	case isa.OpFloat, isa.OpInt, isa.OpNeg, isa.OpNegf, isa.OpNot, isa.OpRecip:
-		return [2]uint8{inst.RD}, 1
-	case isa.OpCopy:
-		return [2]uint8{inst.RS}, 1
-	default:
-		if inst.Op.IsQat() {
-			return regs, 0 // pure coprocessor op touches no Tangled registers
-		}
-		// Two-operand ALU forms read both.
-		return [2]uint8{inst.RD, inst.RS}, 2
-	}
-}
-
-// regWritten returns the Tangled register an instruction writes, if any.
-func regWritten(inst isa.Inst) (uint8, bool) {
-	if inst.Op.WritesTangledReg() {
-		return inst.RD, true
-	}
-	return 0, false
-}
-
 // exLatency returns the EX-stage occupancy for inst under the config.
 func (p *Pipeline) exLatency(inst isa.Inst) int {
-	switch inst.Op {
-	case isa.OpMul:
+	switch inst.Op.Facts().Latency {
+	case isa.LatMul:
 		return p.cfg.MulLatency
-	case isa.OpQNext, isa.OpQPop:
+	case isa.LatQatNext:
 		return p.cfg.QatNextLatency
 	default:
 		return 1
@@ -260,34 +223,15 @@ func (p *Pipeline) exLatency(inst isa.Inst) int {
 // instruction in ID must hold. loadUse distinguishes the forwarding-enabled
 // load-use case from the forwarding-disabled general RAW case.
 func (p *Pipeline) hazardStall() (stall, loadUse bool) {
-	id := p.lat[p.idIdx()]
-	if !id.valid || id.decodeErr != nil {
+	id := &p.lat[p.idIdx()]
+	if !id.valid || id.reads == 0 {
 		return false, false
 	}
-	regs, n := regsRead(id.inst)
-	if n == 0 {
-		return false, false
-	}
-	srcs := regs[:n]
 	// Producers between EX and the stage before WB cannot yet be read from
 	// the register file; WB occupants can (split-phase write/read).
 	for st := p.exIdx(); st < p.wbIdx(); st++ {
-		prod := p.lat[st]
-		if !prod.valid || prod.decodeErr != nil {
-			continue
-		}
-		rd, writes := regWritten(prod.inst)
-		if !writes {
-			continue
-		}
-		hit := false
-		for _, s := range srcs {
-			if s == rd {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		prod := &p.lat[st]
+		if !prod.valid || prod.writes&id.reads == 0 {
 			continue
 		}
 		if !p.cfg.Forwarding {
@@ -437,6 +381,8 @@ func (p *Pipeline) cycle() (bool, error) {
 		s := slot{valid: true, pc: p.fetchPC, inst: inst, decodeErr: err}
 		if err != nil {
 			n = 1
+		} else {
+			s.reads, s.writes = inst.RegReads(), inst.RegWrites()
 		}
 		if p.cfg.TwoWordFetchPenalty && err == nil && n == 2 {
 			s.fetchDelay = 1

@@ -111,27 +111,16 @@ func (c *computer) countOps() {
 		}
 		c.p.QatOps++
 		in := fi.Inst
-		switch in.Op {
-		case isa.OpQZero, isa.OpQOne, isa.OpQNot:
-			c.touch(in.QA)
-		case isa.OpQHad:
-			c.touch(in.QA)
+		if in.Op == isa.OpQHad {
 			if k := int(in.K) + 1; k <= c.ways && k > c.p.RequiredWays {
 				c.p.RequiredWays = k
 			}
-		case isa.OpQAnd, isa.OpQOr, isa.OpQXor, isa.OpQCcnot, isa.OpQCswap:
-			c.touch(in.QA, in.QB, in.QC)
-		case isa.OpQCnot, isa.OpQSwap:
-			c.touch(in.QA, in.QB)
-		case isa.OpQMeas, isa.OpQNext, isa.OpQPop:
-			c.touch(in.QA)
 		}
-	}
-}
-
-func (c *computer) touch(qs ...uint8) {
-	for _, q := range qs {
-		c.touched[q] = true
+		f := in.Op.Facts()
+		qs, n := in.QOperands(f.Reads | f.Writes)
+		for _, q := range qs[:n] {
+			c.touched[q] = true
+		}
 	}
 }
 

@@ -5,10 +5,10 @@ package qat
 // a "quantum" gate is really NumWords plain 64-bit word operations, so the
 // word-op counter is the architectural work metric — the figure the paper's
 // hardware-feasibility discussion (gate counts, OR-reduction width) cares
-// about — while the op counter is the instruction-stream view. Costs are
-// classed with the energy package's thermodynamic taxonomy so the counter
-// agrees with what the energy meter would charge: swap-family ops touch two
-// destination registers, read-only reductions scan one.
+// about — while the op counter is the instruction-stream view. Costs follow
+// the isa table's write sets, the same facts the energy meter charges by:
+// swap-family ops touch two destination registers, read-only reductions
+// scan one.
 
 import (
 	"tangled/internal/energy"
@@ -50,23 +50,20 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// wordOpsFor returns the AoB word-operation cost of one executed op on
-// numWords-word registers, classed per the energy model: every op that
-// writes a register costs one full pass over it (two registers for
+// wordOpsFor returns the AoB word-operation cost of one executed Qat op on
+// numWords-word registers, read from the isa table: every op that writes a
+// register costs one full pass over each register it writes (two for
 // swap/cswap); the next/pop reductions scan the register; meas reads one
 // channel (one word).
 func wordOpsFor(op isa.Op, numWords int) uint64 {
-	switch energy.Classify(op) {
-	case energy.Reversible, energy.Irreversible:
-		if op == isa.OpQSwap || op == isa.OpQCswap {
-			return 2 * uint64(numWords)
-		}
+	f := op.Facts()
+	switch {
+	case f.QWrites() > 0:
+		return uint64(f.QWrites()) * uint64(numWords)
+	case f.Latency == isa.LatQatNext:
 		return uint64(numWords)
-	default: // ReadOnly
-		if op == isa.OpQMeas {
-			return 1
-		}
-		return uint64(numWords)
+	default:
+		return 1
 	}
 }
 

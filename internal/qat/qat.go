@@ -178,8 +178,7 @@ func (q *Coprocessor) Reset() {
 }
 
 // checkWrite rejects writes to reserved constants and marks every other
-// register about to be written dirty. Each write op calls it for every
-// register it writes before touching any of them.
+// register about to be written dirty.
 func (q *Coprocessor) checkWrite(qa uint8) error {
 	if q.reserved[qa] {
 		return fmt.Errorf("qat: write to reserved constant register @%d", qa)
@@ -193,120 +192,94 @@ func (q *Coprocessor) markDirty(qa uint8) { q.dirty[qa/64] |= 1 << (qa % 64) }
 // Exec executes one Qat instruction. rd carries the Tangled register value
 // consumed by meas/next/pop; the returned value and flag report a Tangled
 // register write-back (only those three ops produce one).
+//
+// Every rejection happens here, before either backend touches state: a
+// non-Qat op, a write to a reserved constant (each register the isa table
+// says the op writes is checked in turn), or a had pattern beyond the
+// hardware. A rejected op is counted in Ops and Metrics.Ops as an attempt
+// but is not metered and costs no word operations.
 func (q *Coprocessor) Exec(inst isa.Inst, rd uint16) (out uint16, writes bool, err error) {
+	q.Ops[inst.Op]++
+	if q.Metrics != nil {
+		q.Metrics.Ops.At(int(inst.Op) - int(isa.OpQZero)).Inc()
+	}
+	if !inst.Op.IsQat() {
+		return 0, false, fmt.Errorf("qat: not a Qat op: %s", inst.Op.Name())
+	}
+	ws, nw := inst.QOperands(inst.Op.Facts().Writes)
+	for _, r := range ws[:nw] {
+		if err := q.checkWrite(r); err != nil {
+			return 0, false, err
+		}
+	}
+	if inst.Op == isa.OpQHad && int(inst.K) >= q.ways {
+		return 0, false, fmt.Errorf("qat: had pattern %d exceeds %d-way hardware", inst.K, q.ways)
+	}
 	if q.re != nil {
 		return q.execRE(inst, rd)
 	}
-	q.Ops[inst.Op]++
+	out, writes = q.execDense(inst, rd, nw)
+	return out, writes, nil
+}
+
+// execDense is Exec for the AoB register file; nw is the number of Qat
+// registers inst writes, which decides how many snapshots the energy meter
+// needs.
+func (q *Coprocessor) execDense(inst isa.Inst, rd uint16, nw int) (out uint16, writes bool) {
 	a := q.regs[inst.QA]
-	if q.Metrics != nil {
-		// The op counter mirrors Ops (attempts); the word-op counter is
-		// charged on success only, in the deferred hook below.
-		q.Metrics.Ops.At(int(inst.Op) - int(isa.OpQZero)).Inc()
-		defer func() {
-			if err == nil {
-				q.Metrics.WordOps.Add(wordOpsFor(inst.Op, a.NumWords()))
-			}
-		}()
-	}
 	var snapA, snapB *aob.Vector
 	if q.Meter != nil {
-		switch inst.Op {
-		case isa.OpQMeas, isa.OpQNext, isa.OpQPop:
+		switch nw {
+		case 0:
 			q.Meter.Record(inst.Op)
-		case isa.OpQSwap, isa.OpQCswap:
-			snapA = a.Clone()
+		case 2:
 			snapB = q.regs[inst.QB].Clone()
+			fallthrough
 		default:
 			snapA = a.Clone()
 		}
 	}
-	defer func() {
-		if q.Meter == nil || err != nil || snapA == nil {
-			return
-		}
-		if snapB != nil {
-			q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, q.regs[inst.QA]},
-				[2]*aob.Vector{snapB, q.regs[inst.QB]})
-			return
-		}
-		q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, q.regs[inst.QA]})
-	}()
 	switch inst.Op {
 	case isa.OpQZero:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Zero()
 	case isa.OpQOne:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.One()
 	case isa.OpQNot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Not()
 	case isa.OpQHad:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if int(inst.K) >= q.ways {
-			return 0, false, fmt.Errorf("qat: had pattern %d exceeds %d-way hardware", inst.K, q.ways)
-		}
 		a.Had(int(inst.K))
 	case isa.OpQAnd:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.And(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQOr:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Or(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQXor:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Xor(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQCnot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.CNot(q.regs[inst.QB])
 	case isa.OpQCcnot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.CCNot(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQSwap:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if err := q.checkWrite(inst.QB); err != nil {
-			return 0, false, err
-		}
 		a.Swap(q.regs[inst.QB])
 	case isa.OpQCswap:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if err := q.checkWrite(inst.QB); err != nil {
-			return 0, false, err
-		}
 		a.CSwap(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQMeas:
-		return uint16(a.Meas(uint64(rd))), true, nil
+		out, writes = uint16(a.Meas(uint64(rd))), true
 	case isa.OpQNext:
-		return uint16(a.Next(uint64(rd))), true, nil
+		out, writes = uint16(a.Next(uint64(rd))), true
 	case isa.OpQPop:
 		// pop counts 1s strictly after the given channel; with 16-way
 		// hardware the count past channel 0 fits 16 bits (max 65535).
-		return uint16(a.PopAfter(uint64(rd))), true, nil
-	default:
-		return 0, false, fmt.Errorf("qat: not a Qat op: %s", inst.Op.Name())
+		out, writes = uint16(a.PopAfter(uint64(rd))), true
 	}
-	return 0, false, nil
+	switch {
+	case snapB != nil:
+		q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, q.regs[inst.QA]},
+			[2]*aob.Vector{snapB, q.regs[inst.QB]})
+	case snapA != nil:
+		q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, q.regs[inst.QA]})
+	}
+	if q.Metrics != nil {
+		q.Metrics.WordOps.Add(wordOpsFor(inst.Op, a.NumWords()))
+	}
+	return out, writes
 }

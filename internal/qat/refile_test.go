@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tangled/internal/aob"
+	"tangled/internal/energy"
 	"tangled/internal/isa"
 )
 
@@ -241,5 +242,44 @@ func TestNewFromConfigValidation(t *testing.T) {
 	}
 	if q.Ways() != aob.MaxWays || q.Space().ChunkWays() != aob.MaxWays {
 		t.Fatalf("re defaults: ways=%d chunkWays=%d", q.Ways(), q.Space().ChunkWays())
+	}
+}
+
+// TestRejectedOpsNotMetered: an op Exec rejects (a write to a reserved
+// constant, a had pattern beyond the hardware) is neither executed nor
+// metered, so the dense and RE meters agree class for class on a stream
+// that mixes rejected ops with accepted ones.
+func TestRejectedOpsNotMetered(t *testing.T) {
+	seq := []isa.Inst{
+		{Op: isa.OpQHad, QA: 10, K: 1},
+		{Op: isa.OpQAnd, QA: ConstOneReg(), QB: 10, QC: 10}, // reserved destination
+		{Op: isa.OpQCnot, QA: 11, QB: 10},
+		{Op: isa.OpQHad, QA: 12, K: 9},                // beyond 4-way hardware
+		{Op: isa.OpQSwap, QA: 11, QB: ConstZeroReg()}, // reserved second destination
+		{Op: isa.OpQMeas, RD: 1, QA: 11},
+	}
+	var meters []*energy.Meter
+	for _, backend := range []string{BackendDense, BackendRE} {
+		q, err := NewFromConfig(Config{Ways: 4, ConstantRegs: true, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Meter = energy.NewMeter()
+		rejected := 0
+		for _, in := range seq {
+			if _, _, err := q.Exec(in, 0); err != nil {
+				rejected++
+			}
+		}
+		if rejected != 3 {
+			t.Fatalf("%s: %d ops rejected, want 3", backend, rejected)
+		}
+		meters = append(meters, q.Meter)
+	}
+	for i, m := range meters {
+		if m.IrreversibleOps != 1 || m.ReversibleOps != 1 || m.ReadOps != 1 {
+			t.Errorf("backend %d meter irreversible/reversible/read = %d/%d/%d, want 1/1/1",
+				i, m.IrreversibleOps, m.ReversibleOps, m.ReadOps)
+		}
 	}
 }

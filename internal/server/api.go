@@ -369,9 +369,10 @@ func (r *RunRequest) validate() error {
 	return nil
 }
 
-// pipelineConfig builds the pipeline organization a pipelined RunRequest
-// asked for, on the paper's default timing.
-func (r *RunRequest) pipelineConfig() pipeline.Config {
+// PipelineConfig builds the pipeline organization a pipelined RunRequest
+// asked for, on the paper's default timing. The cluster router keys
+// pipelined requests on it too.
+func (r *RunRequest) PipelineConfig() pipeline.Config {
 	cfg := pipeline.DefaultConfig()
 	if r.Stages != 0 {
 		cfg.Stages = r.Stages
@@ -383,8 +384,9 @@ func (r *RunRequest) pipelineConfig() pipeline.Config {
 	return cfg
 }
 
-// maxSteps resolves the request's budget against the server's ceiling.
-func (r *RunRequest) maxSteps(cap uint64) uint64 {
+// StepBudget resolves the request's budget against a server's ceiling; a
+// zero cap means the default qasm.MaxSteps.
+func (r *RunRequest) StepBudget(cap uint64) uint64 {
 	if cap == 0 {
 		cap = qasm.MaxSteps
 	}

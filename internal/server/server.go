@@ -790,7 +790,7 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 	job := farm.Job{
 		Name:     id,
 		Prog:     prog,
-		MaxSteps: req.maxSteps(s.cfg.MaxSteps),
+		MaxSteps: req.StepBudget(s.cfg.MaxSteps),
 		Ctx:      reqCtx,
 		TraceTag: id,
 	}
@@ -799,7 +799,7 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 	}
 	if req.Mode == "pipelined" {
 		job.Mode = farm.Pipelined
-		job.Pipeline = req.pipelineConfig()
+		job.Pipeline = req.PipelineConfig()
 	} else {
 		job.Mode = farm.Functional
 		job.Ways = req.Ways
