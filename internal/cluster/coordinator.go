@@ -143,7 +143,7 @@ func (co *Coordinator) Start(addr string) (net.Addr, error) {
 		return nil, err
 	}
 	co.ln = ln
-	co.httpSrv = &http.Server{Handler: co.mux}
+	co.httpSrv = obs.NewHTTPServer(co.mux)
 	co.serveWG.Add(1)
 	go func() {
 		defer co.serveWG.Done()
@@ -463,7 +463,7 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 			co.obs.nodeRouted.With(n.id).Inc()
 			w.Header().Set("X-Request-ID", req.ID)
 			w.Header().Set("X-Cluster-Node", n.id)
-			co.writeJSON(w, statusOfResult(&res), res)
+			co.writeJSON(w, res.Status(), res)
 			return
 		}
 		if r.Context().Err() != nil {
@@ -487,15 +487,6 @@ func (co *Coordinator) nextCandidate(key uint64, keyed bool, tried map[*node]boo
 		}
 	}
 	return nil
-}
-
-// statusOfResult mirrors the worker's finishRun: per-run failure records
-// (499 cancelled, 504 deadline) carry their Code as the HTTP status.
-func statusOfResult(res *server.RunResult) int {
-	if res.Code >= 400 && res.Code != http.StatusInternalServerError {
-		return res.Code
-	}
-	return http.StatusOK
 }
 
 func (co *Coordinator) relayAPIError(w http.ResponseWriter, apiErr *client.APIError) {

@@ -4,10 +4,11 @@ package farm
 // concrete register file, and the farm resolves it here — before pool
 // keys, memo keys, or machines exist — through the static planner
 // (internal/backend), with a memo probe so a previously executed identity
-// under either concrete backend wins over the static prediction. The
-// resolution happens at every entry point that derives a job identity
-// (runJob, MemoProbe, MemoKey), because a key computed on the unresolved
-// pseudo-name would silently alias the dense spelling.
+// under either concrete backend wins over the static prediction. Every
+// entry point that derives a job identity (runJob, Resolve, MemoProbe,
+// MemoKey) resolves it through the one prelude, Engine.prepare, because a
+// key computed on the unresolved pseudo-name would silently alias the
+// dense spelling.
 
 import (
 	"tangled/internal/asm"
@@ -30,16 +31,15 @@ func (e *Engine) resolveAuto(j *Job, prog *asm.Program, maxSteps uint64, o *Obs)
 		j.Backend = qat.BackendDense
 		return nil, nil
 	}
-	cache := e.jobCache(j, o)
-	probe := func(cfg qat.Config) bool {
-		if cache == nil {
-			return false
+	var probe func(qat.Config) bool
+	if cache := e.jobCache(j, o); cache != nil {
+		probe = func(cfg qat.Config) bool {
+			t := *j
+			t.Ways, t.ConstantRegs = cfg.Ways, cfg.ConstantRegs
+			t.Backend, t.REChunkWays, t.RESpillRuns = cfg.Backend, cfg.ChunkWays, cfg.SpillRuns
+			_, ok := cache.Get(ExecKey(&t, prog, maxSteps).Sum())
+			return ok
 		}
-		t := *j
-		t.Ways, t.ConstantRegs = cfg.Ways, cfg.ConstantRegs
-		t.Backend, t.REChunkWays, t.RESpillRuns = cfg.Backend, cfg.ChunkWays, cfg.SpillRuns
-		_, ok := cache.Get(jobKey(&t, prog, maxSteps))
-		return ok
 	}
 	plan, err := backend.PlanAuto(prog,
 		qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs, Backend: backend.Auto}, probe)

@@ -119,12 +119,10 @@ type Job struct {
 	// (see obs.TagTrace), correlating interleaved rows back to requests.
 	TraceTag string
 
-	// Memo, when non-nil, overrides the engine's cache (Engine.SetMemo) for
-	// this job. NoMemo opts the job out of memoization entirely: it always
-	// executes and its result is never stored. Jobs with an Inspect hook and
-	// pipelined jobs feeding a trace ring bypass the cache regardless — both
-	// exist to observe a real execution. See memo.go.
-	Memo   *memo.Cache
+	// NoMemo opts the job out of the engine's cache (Engine.SetMemo): it
+	// always executes and its result is never stored. Jobs with an Inspect
+	// hook and pipelined jobs feeding a trace ring bypass the cache
+	// regardless — both exist to observe a real execution. See memo.go.
 	NoMemo bool
 
 	// Inspect, when non-nil, is called with the machine after the run
@@ -302,6 +300,45 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, Stats) {
 	return results, st
 }
 
+// prepare is the identity prelude shared by every entry point that runs or
+// keys a job (runJob, Resolve, MemoKey, MemoProbe): it resolves the program
+// (assembling Src when Prog is nil), defaults the step budget, and resolves
+// backend.Auto in place on j (auto.go), returning the planner's profile
+// (nil unless j asked for auto). j.Prog is left alone; callers that want
+// the assembly kept store it themselves.
+func (e *Engine) prepare(j *Job, o *Obs) (prog *asm.Program, maxSteps uint64, prof *lint.Profile, err error) {
+	prog = j.Prog
+	if prog == nil {
+		if j.Src == "" {
+			return nil, 0, nil, ErrNoProgram
+		}
+		if prog, err = asm.Assemble(j.Src); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	maxSteps = j.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = DefaultMaxSteps
+	}
+	prof, err = e.resolveAuto(j, prog, maxSteps, o)
+	return prog, maxSteps, prof, err
+}
+
+// Resolve settles j's identity in place, for serving layers that must do so
+// before probing the memo or admitting the job: Src is assembled into Prog,
+// and backend.Auto is resolved to the backend the planner picks (one that
+// already has this run memoized wins). The error is the assembler's,
+// ErrNoProgram, or a *backend.UnservableError carrying the profile when the
+// width exceeds every backend.
+func (e *Engine) Resolve(j *Job) error {
+	prog, _, _, err := e.prepare(j, e.currentObs())
+	if err != nil {
+		return err
+	}
+	j.Prog = prog
+	return nil
+}
+
 // runJob executes one job on the calling worker goroutine.
 func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o *Obs) (res Result) {
 	res = Result{Job: i, Name: j.Name}
@@ -314,19 +351,13 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		defer o.InFlight.Add(-1)
 	}
 
-	prog := j.Prog
-	if prog == nil {
-		if j.Src == "" {
-			res.Err = ErrNoProgram
-			return res
-		}
-		p, err := asm.Assemble(j.Src)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		prog = p
+	prog, maxSteps, prof, err := e.prepare(j, o)
+	if err != nil {
+		res.Err = err
+		return res
 	}
+	res.Profile = prof
+	res.Backend = j.servedBackend()
 	if j.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
@@ -336,21 +367,6 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		var cancel context.CancelFunc
 		ctx, cancel = joinContext(ctx, j.Ctx)
 		defer cancel()
-	}
-	maxSteps := j.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	prof, err := e.resolveAuto(j, prog, maxSteps, o)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Profile = prof
-	if j.Mode != Pipelined {
-		if cfg, cerr := j.qatConfig(); cerr == nil {
-			res.Backend = cfg.Backend
-		}
 	}
 	exec := func() {
 		if j.Mode == Pipelined {
@@ -364,7 +380,7 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		exec()
 		return res
 	}
-	entry, cached, err := cache.Do(ctx, jobKey(j, prog, maxSteps), func() memo.Entry {
+	entry, cached, err := cache.Do(ctx, ExecKey(j, prog, maxSteps).Sum(), func() memo.Entry {
 		exec()
 		return memo.Entry{Regs: res.Regs, Output: res.Output, Insts: res.Insts, Pipe: res.Pipe, Err: res.Err}
 	})
@@ -463,13 +479,28 @@ func (e *Engine) runFunctional(ctx context.Context, j *Job, prog *asm.Program, m
 // form through the backend registry — defaults made explicit, invalid
 // geometry rejected — so equivalent spellings share pool and memo identity.
 // The Auto pseudo-backend must already be resolved (resolveAuto); seeing it
-// here is a sequencing bug, reported rather than guessed around.
+// here is a sequencing bug, reported rather than guessed around (the
+// uncanonicalized config still comes back, for ExecKey).
 func (j *Job) qatConfig() (qat.Config, error) {
+	cfg := qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs,
+		Backend: j.Backend, ChunkWays: j.REChunkWays, SpillRuns: j.RESpillRuns}
 	if j.Backend == backend.Auto {
-		return qat.Config{}, fmt.Errorf("farm: backend %q not resolved before execution", backend.Auto)
+		return cfg, fmt.Errorf("farm: backend %q not resolved before execution", backend.Auto)
 	}
-	return backend.Canonicalize(qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs,
-		Backend: j.Backend, ChunkWays: j.REChunkWays, SpillRuns: j.RESpillRuns})
+	return backend.Canonicalize(cfg)
+}
+
+// servedBackend is the canonical backend Result.Backend reports: empty for
+// Pipelined jobs and for configurations that fail validation.
+func (j *Job) servedBackend() string {
+	if j.Mode == Pipelined {
+		return ""
+	}
+	cfg, err := j.qatConfig()
+	if err != nil {
+		return ""
+	}
+	return cfg.Backend
 }
 
 func (e *Engine) runPipelined(ctx context.Context, j *Job, prog *asm.Program, maxCycles uint64, res *Result, bc *batchCounters, o *Obs) {

@@ -23,20 +23,17 @@ import (
 
 // SetMemo attaches (or with nil detaches) the engine-wide execution cache.
 // Safe to call concurrently with Run; jobs pick up the value current when
-// they start. A job's own Memo field, when set, takes precedence.
+// they start.
 func (e *Engine) SetMemo(c *memo.Cache) { e.memo.Store(c) }
 
 // Memo returns the engine-wide cache, nil when disabled.
 func (e *Engine) Memo() *memo.Cache { return e.memo.Load() }
 
-// jobCache resolves the cache a job should consult: the job's own handle,
-// else the engine's, else nil; nil also for jobs that must execute for
-// real (NoMemo, Inspect, pipelined trace capture).
+// jobCache resolves the cache a job should consult: the engine's, or nil
+// when there is none or the job must execute for real (NoMemo, Inspect,
+// pipelined trace capture).
 func (e *Engine) jobCache(j *Job, o *Obs) *memo.Cache {
-	c := j.Memo
-	if c == nil {
-		c = e.memo.Load()
-	}
+	c := e.memo.Load()
 	if c == nil || j.NoMemo || j.Inspect != nil {
 		return nil
 	}
@@ -46,26 +43,50 @@ func (e *Engine) jobCache(j *Job, o *Obs) *memo.Cache {
 	return c
 }
 
-// jobKey derives the job's content address from its resolved program and
-// budget, normalizing defaults (ways 0, zero pipeline config) so equivalent
-// spellings share an entry.
-func jobKey(j *Job, prog *asm.Program, maxSteps uint64) memo.Key {
+// ExecKey describes j's execution for memo keying, over its resolved
+// program and step budget. It normalizes defaults (ways 0, backend "",
+// chunk/spill zeros, the zero pipeline config) so equivalent spellings hash
+// identically; invalid configs still key consistently, and the execution
+// path reports their error. It is the one keying function: the engine keys
+// every job through it, and the cluster router keys requests through it so
+// a route key is the worker's memo key. An unresolved backend.Auto job keys
+// like a dense run at its requested width — the engine never keys one (it
+// resolves first), and the router tags it with its own marker.
+func ExecKey(j *Job, prog *asm.Program, maxSteps uint64) memo.ExecKey {
 	ek := memo.ExecKey{MaxSteps: maxSteps, Words: prog.Words}
 	if j.Mode == Pipelined {
 		ek.Pipelined = true
-		cfg := j.Pipeline
-		if cfg == (pipeline.Config{}) {
-			cfg = pipeline.DefaultConfig()
+		ek.Pipeline = j.Pipeline
+		if ek.Pipeline == (pipeline.Config{}) {
+			ek.Pipeline = pipeline.DefaultConfig()
 		}
-		ek.Pipeline = cfg
-	} else {
-		// qatConfig resolves every default (ways 0, backend "", chunk/spill
-		// zeros), so equivalent spellings hash identically. Invalid configs
-		// still key consistently; the execution path reports their error.
-		cfg, _ := j.qatConfig()
-		ek.SetQat(cfg)
+		return ek
 	}
-	return ek.Sum()
+	cfg, _ := j.qatConfig()
+	ek.SetQat(cfg)
+	return ek
+}
+
+// keyFor resolves j's identity through the prelude (storing the assembled
+// program back into j.Prog, so a subsequent real run does not re-assemble)
+// and returns its cache and content address. ok is false when the job
+// bypasses the cache or the prelude fails; such failures surface through
+// the normal execution path.
+func (e *Engine) keyFor(j *Job) (c *memo.Cache, k memo.Key, ok bool) {
+	o := e.currentObs()
+	if c = e.jobCache(j, o); c == nil {
+		return nil, k, false
+	}
+	// An auto job must resolve to a concrete backend before keying: a key
+	// over the unresolved pseudo-name would alias the dense spelling. The
+	// resolution is sticky (written back into j) so a subsequent real run
+	// executes exactly the identity keyed here.
+	prog, maxSteps, _, err := e.prepare(j, o)
+	if err != nil {
+		return nil, k, false
+	}
+	j.Prog = prog
+	return c, ExecKey(j, prog, maxSteps).Sum(), true
 }
 
 // MemoKey exposes j's content address to serving layers that need to
@@ -74,30 +95,11 @@ func jobKey(j *Job, prog *asm.Program, maxSteps uint64) memo.Key {
 // stay the submitted program so later submissions of the same source hit,
 // whatever the optimizer did to the executed words). Returns false when
 // the job would bypass the cache (NoMemo, Inspect, traced pipelined runs,
-// no cache attached) or has no resolved program; when j carries source it
-// is assembled and stored back into j.Prog, like MemoProbe.
+// no cache attached) or its identity cannot be resolved; when j carries
+// source it is assembled and stored back into j.Prog, like MemoProbe.
 func (e *Engine) MemoKey(j *Job) (memo.Key, bool) {
-	if e.jobCache(j, e.currentObs()) == nil {
-		return memo.Key{}, false
-	}
-	if j.Prog == nil {
-		if j.Src == "" {
-			return memo.Key{}, false
-		}
-		p, err := asm.Assemble(j.Src)
-		if err != nil {
-			return memo.Key{}, false
-		}
-		j.Prog = p
-	}
-	maxSteps := j.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	if _, err := e.resolveAuto(j, j.Prog, maxSteps, e.currentObs()); err != nil {
-		return memo.Key{}, false
-	}
-	return jobKey(j, j.Prog, maxSteps), true
+	_, k, ok := e.keyFor(j)
+	return k, ok
 }
 
 // MemoProbe checks whether j's result is already cached, without executing
@@ -105,53 +107,25 @@ func (e *Engine) MemoKey(j *Job) (memo.Key, bool) {
 // Result (Cached set, Job index zero — the caller owns placement). Serving
 // layers call this before admission control so cache hits never consume an
 // admission slot or batching latency. When j carries source, the probe
-// assembles it and stores the program back into j.Prog, so a subsequent
-// real run does not re-assemble; assembly errors report as a miss and
-// surface through the normal execution path.
+// assembles it and stores the program back into j.Prog; assembly and
+// planner failures report as a miss and surface through the run path.
 func (e *Engine) MemoProbe(j *Job) (Result, bool) {
-	c := e.jobCache(j, e.currentObs())
-	if c == nil {
-		return Result{}, false
-	}
-	if j.Prog == nil {
-		if j.Src == "" {
-			return Result{}, false
-		}
-		p, err := asm.Assemble(j.Src)
-		if err != nil {
-			return Result{}, false
-		}
-		j.Prog = p
-	}
-	maxSteps := j.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	// An auto job must resolve to a concrete backend before keying: a key
-	// over the unresolved pseudo-name would alias the dense spelling. The
-	// resolution is sticky (written back into j) so a subsequent real run
-	// executes exactly the identity probed here. Planner failures
-	// (unservable width) report as a miss and surface on the run path.
-	if _, err := e.resolveAuto(j, j.Prog, maxSteps, e.currentObs()); err != nil {
-		return Result{}, false
-	}
-	ent, ok := c.Get(jobKey(j, j.Prog, maxSteps))
+	c, k, ok := e.keyFor(j)
 	if !ok {
 		return Result{}, false
 	}
-	res := Result{
-		Name:   j.Name,
-		Regs:   ent.Regs,
-		Output: ent.Output,
-		Insts:  ent.Insts,
-		Pipe:   ent.Pipe,
-		Err:    ent.Err,
-		Cached: true,
+	ent, ok := c.Get(k)
+	if !ok {
+		return Result{}, false
 	}
-	if j.Mode != Pipelined {
-		if cfg, err := j.qatConfig(); err == nil {
-			res.Backend = cfg.Backend
-		}
-	}
-	return res, true
+	return Result{
+		Name:    j.Name,
+		Regs:    ent.Regs,
+		Output:  ent.Output,
+		Insts:   ent.Insts,
+		Pipe:    ent.Pipe,
+		Err:     ent.Err,
+		Cached:  true,
+		Backend: j.servedBackend(),
+	}, true
 }

@@ -106,7 +106,7 @@ func (r *eventRing) publish(ev Event) {
 		select {
 		case ch <- ev:
 		default:
-			r.obs.incEventsDropped()
+			r.obs.EventsDropped.Inc()
 		}
 	}
 }
@@ -132,7 +132,7 @@ func (r *eventRing) subscribe(since uint64) ([]Event, <-chan Event, func()) {
 	id := r.nextID
 	r.nextID++
 	r.subs[id] = ch
-	r.obs.setSubscribers(int64(len(r.subs)))
+	r.obs.Subscribers.Set(int64(len(r.subs)))
 	var once sync.Once
 	cancel := func() {
 		once.Do(func() {
@@ -141,7 +141,7 @@ func (r *eventRing) subscribe(since uint64) ([]Event, <-chan Event, func()) {
 			if _, ok := r.subs[id]; ok {
 				delete(r.subs, id)
 				close(ch)
-				r.obs.setSubscribers(int64(len(r.subs)))
+				r.obs.Subscribers.Set(int64(len(r.subs)))
 			}
 		})
 	}
@@ -161,5 +161,5 @@ func (r *eventRing) close() {
 		delete(r.subs, id)
 		close(ch)
 	}
-	r.obs.setSubscribers(0)
+	r.obs.Subscribers.Set(0)
 }

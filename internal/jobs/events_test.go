@@ -92,7 +92,7 @@ func TestEventsSinceReplay(t *testing.T) {
 }
 
 func TestEventRingBoundedReplay(t *testing.T) {
-	r := newEventRing(4, nil)
+	r := newEventRing(4, NewObs(nil))
 	for i := 0; i < 10; i++ {
 		r.publish(Event{Type: EventSubmitted, Job: "j"})
 	}
@@ -109,7 +109,7 @@ func TestEventRingBoundedReplay(t *testing.T) {
 }
 
 func TestEventRingSlowSubscriberDoesNotBlock(t *testing.T) {
-	r := newEventRing(1024, nil)
+	r := newEventRing(1024, NewObs(nil))
 	_, ch, cancel := r.subscribe(0)
 	defer cancel()
 	// Never drain: publishes beyond the channel buffer must not block.
@@ -139,7 +139,7 @@ func TestEventRingSlowSubscriberDoesNotBlock(t *testing.T) {
 }
 
 func TestEventRingCloseEndsSubscribers(t *testing.T) {
-	r := newEventRing(8, nil)
+	r := newEventRing(8, NewObs(nil))
 	_, ch, cancel := r.subscribe(0)
 	defer cancel()
 	r.publish(Event{Type: EventSubmitted})

@@ -155,7 +155,7 @@ type Config struct {
 	// CompactEvery triggers WAL compaction after this many appended
 	// records. <= 0 means 4096.
 	CompactEvery int
-	// Obs, when non-nil, receives the jobs metric family (obs.go).
+	// Obs receives the jobs metric family (obs.go); nil means detached.
 	Obs *Obs
 }
 
@@ -174,6 +174,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 4096
+	}
+	if c.Obs == nil {
+		c.Obs = NewObs(nil) // detached: every handle nil, every update a no-op
 	}
 	return c
 }
@@ -275,17 +278,17 @@ func (m *Manager) adopt(replayed []*Job) {
 			m.walAppend(walRecord{Op: opState, ID: j.ID, State: j.State, Reason: j.Reason, Time: now})
 			m.events.publish(Event{Type: EventFailed, Job: j.ID, Tenant: j.Tenant, State: j.State, Reason: j.Reason})
 			m.resumedFailed++
-			m.cfg.Obs.countState(StateFailed)
-			m.cfg.Obs.incResumeFailed()
+			m.cfg.Obs.States.At(stateIdx(StateFailed)).Inc()
+			m.cfg.Obs.ResumeFailed.Inc()
 		default: // queued: re-admit exactly once, in original order
 			j.State = StateQueued
 			j.Resumed = true
 			m.jobs[j.ID] = j
 			m.fq.push(j)
-			m.cfg.Obs.setQueueDepth(j.Tenant, m.fq.depth(j.Tenant))
+			m.cfg.Obs.QueueDepth.With(j.Tenant).Set(int64(m.fq.depth(j.Tenant)))
 			m.events.publish(Event{Type: EventResumed, Job: j.ID, Tenant: j.Tenant, State: j.State})
 			m.resumedQueued++
-			m.cfg.Obs.incResumed()
+			m.cfg.Obs.Resumed.Inc()
 		}
 	}
 	m.enforceRetention()
@@ -312,7 +315,7 @@ func (m *Manager) Submit(j Job) (Job, bool, error) {
 		return existing.snapshot(), true, nil
 	}
 	if m.fq.size+m.runningN >= m.cfg.QueueLimit {
-		m.cfg.Obs.incRejected()
+		m.cfg.Obs.Rejected.Inc()
 		return Job{}, false, ErrQueueFull
 	}
 	if j.Weight <= 0 {
@@ -329,8 +332,8 @@ func (m *Manager) Submit(j Job) (Job, bool, error) {
 	}
 	m.jobs[j.ID] = jp
 	m.fq.push(jp)
-	m.cfg.Obs.setQueueDepth(j.Tenant, m.fq.depth(j.Tenant))
-	m.cfg.Obs.countState(StateQueued)
+	m.cfg.Obs.QueueDepth.With(j.Tenant).Set(int64(m.fq.depth(j.Tenant)))
+	m.cfg.Obs.States.At(stateIdx(StateQueued)).Inc()
 	m.events.publish(Event{Type: EventSubmitted, Job: j.ID, Tenant: j.Tenant, State: StateQueued})
 	m.cond.Signal()
 	return jp.snapshot(), false, nil
@@ -362,7 +365,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 	switch j.State {
 	case StateQueued:
 		m.fq.remove(j)
-		m.cfg.Obs.setQueueDepth(j.Tenant, m.fq.depth(j.Tenant))
+		m.cfg.Obs.QueueDepth.With(j.Tenant).Set(int64(m.fq.depth(j.Tenant)))
 		m.terminalLocked(j, StateCanceled, "canceled before start")
 	case StateRunning:
 		j.cancelReq = true
@@ -408,7 +411,7 @@ func (m *Manager) worker() {
 			return
 		}
 		j := m.fq.pop()
-		m.cfg.Obs.setQueueDepth(j.Tenant, m.fq.depth(j.Tenant))
+		m.cfg.Obs.QueueDepth.With(j.Tenant).Set(int64(m.fq.depth(j.Tenant)))
 		j.State = StateRunning
 		j.Started = time.Now()
 		// The job context is detached: jobs outlive the HTTP request that
@@ -416,9 +419,9 @@ func (m *Manager) worker() {
 		ctx, cancel := context.WithCancel(context.Background())
 		m.cancels[j.ID] = cancel
 		m.runningN++
-		m.cfg.Obs.setRunning(int64(m.runningN))
+		m.cfg.Obs.Running.Set(int64(m.runningN))
 		m.walAppend(walRecord{Op: opState, ID: j.ID, State: StateRunning, Time: j.Started})
-		m.cfg.Obs.countState(StateRunning)
+		m.cfg.Obs.States.At(stateIdx(StateRunning)).Inc()
 		m.events.publish(Event{Type: EventStarted, Job: j.ID, Tenant: j.Tenant, State: StateRunning})
 		snap := j.snapshot()
 		m.mu.Unlock()
@@ -429,7 +432,7 @@ func (m *Manager) worker() {
 		cancel()
 		delete(m.cancels, j.ID)
 		m.runningN--
-		m.cfg.Obs.setRunning(int64(m.runningN))
+		m.cfg.Obs.Running.Set(int64(m.runningN))
 		j.Result = result
 		switch {
 		case err == nil:
@@ -453,7 +456,7 @@ func (m *Manager) terminalLocked(j *Job, st State, reason string) {
 	j.Reason = reason
 	j.Finished = time.Now()
 	m.walAppend(walRecord{Op: opState, ID: j.ID, State: st, Reason: reason, Result: j.Result, Time: j.Finished})
-	m.cfg.Obs.countState(st)
+	m.cfg.Obs.States.At(stateIdx(st)).Inc()
 	m.events.publish(Event{Type: eventTypeFor(st), Job: j.ID, Tenant: j.Tenant, State: st, Reason: reason})
 	m.term = append(m.term, j.ID)
 	m.enforceRetention()
@@ -469,7 +472,7 @@ func (m *Manager) enforceRetention() {
 		if _, ok := m.jobs[id]; ok {
 			delete(m.jobs, id)
 			m.walAppend(walRecord{Op: opEvict, ID: id})
-			m.cfg.Obs.incEvicted()
+			m.cfg.Obs.Evicted.Inc()
 		}
 	}
 }
@@ -484,7 +487,8 @@ func (m *Manager) walAppend(rec walRecord) error {
 	if err := m.wal.append(rec); err != nil {
 		return err
 	}
-	m.cfg.Obs.setWAL(m.wal.records, m.wal.bytes)
+	m.cfg.Obs.WALRecords.Set(int64(m.wal.records))
+	m.cfg.Obs.WALBytes.Set(m.wal.bytes)
 	if m.wal.records >= m.cfg.CompactEvery {
 		m.compactLocked()
 	}
@@ -501,9 +505,10 @@ func (m *Manager) compactLocked() {
 		all = append(all, j)
 	}
 	if err := m.wal.compact(all); err == nil {
-		m.cfg.Obs.incCompactions()
+		m.cfg.Obs.Compactions.Inc()
 	}
-	m.cfg.Obs.setWAL(m.wal.records, m.wal.bytes)
+	m.cfg.Obs.WALRecords.Set(int64(m.wal.records))
+	m.cfg.Obs.WALBytes.Set(m.wal.bytes)
 }
 
 // Close drains the manager: submissions are refused, queued jobs stay

@@ -2,9 +2,9 @@ package jobs
 
 import "tangled/internal/obs"
 
-// Obs is the jobs metric family. Every method is nil-receiver safe (the
-// obs package's own nil-safety discipline), so an unobserved Manager pays
-// only a nil check per transition.
+// Obs is the jobs metric family. An unobserved Manager holds NewObs(nil),
+// whose handles are all nil — and nil obs handles are no-ops — so call
+// sites use the handles directly.
 type Obs struct {
 	// QueueDepth is per-tenant queued jobs (jobs_queue_depth{tenant=...}).
 	QueueDepth *obs.GaugeVec
@@ -50,20 +50,6 @@ func NewObs(r *obs.Registry) *Obs {
 	}
 }
 
-func (o *Obs) setQueueDepth(tenant string, n int) {
-	if o == nil {
-		return
-	}
-	o.QueueDepth.With(tenant).Set(int64(n))
-}
-
-func (o *Obs) setRunning(n int64) {
-	if o == nil {
-		return
-	}
-	o.Running.Set(n)
-}
-
 // stateIdx maps a state to its CounterVec index (registration order of
 // the values list in NewObs).
 func stateIdx(st State) int {
@@ -80,68 +66,4 @@ func stateIdx(st State) int {
 		return 4
 	}
 	return -1
-}
-
-func (o *Obs) countState(st State) {
-	if o == nil {
-		return
-	}
-	o.States.At(stateIdx(st)).Inc()
-}
-
-func (o *Obs) incResumed() {
-	if o == nil {
-		return
-	}
-	o.Resumed.Inc()
-}
-
-func (o *Obs) incResumeFailed() {
-	if o == nil {
-		return
-	}
-	o.ResumeFailed.Inc()
-}
-
-func (o *Obs) incRejected() {
-	if o == nil {
-		return
-	}
-	o.Rejected.Inc()
-}
-
-func (o *Obs) incEvicted() {
-	if o == nil {
-		return
-	}
-	o.Evicted.Inc()
-}
-
-func (o *Obs) setWAL(records int, bytes int64) {
-	if o == nil {
-		return
-	}
-	o.WALRecords.Set(int64(records))
-	o.WALBytes.Set(bytes)
-}
-
-func (o *Obs) incCompactions() {
-	if o == nil {
-		return
-	}
-	o.Compactions.Inc()
-}
-
-func (o *Obs) setSubscribers(n int64) {
-	if o == nil {
-		return
-	}
-	o.Subscribers.Set(n)
-}
-
-func (o *Obs) incEventsDropped() {
-	if o == nil {
-		return
-	}
-	o.EventsDropped.Inc()
 }

@@ -12,7 +12,25 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so one that dribbles them cannot hold a connection and its
+// goroutine forever. A variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// idleTimeout closes keep-alive connections left idle this long.
+const idleTimeout = 2 * time.Minute
+
+// NewHTTPServer returns the http.Server every listener in the repository
+// serves h with (qatserver, the cluster coordinator, the debug face): the
+// header and idle timeouts are set; the write and whole-request timeouts
+// are not, because event streams outlive any fixed bound and request
+// bodies are already bounded by http.MaxBytesReader.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // expvarOnce guards the process-wide expvar name; expvar.Publish panics on
 // duplicates, and tests may build several handlers.
@@ -48,7 +66,7 @@ func Serve(addr string, r *Registry) (*http.Server, net.Addr, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: Handler(r)}
+	srv := NewHTTPServer(Handler(r))
 	go srv.Serve(ln)
 	return srv, ln.Addr(), nil
 }

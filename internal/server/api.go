@@ -7,9 +7,10 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 	"time"
 
-	"tangled/internal/aob"
+	"tangled/internal/asm"
 	"tangled/internal/backend"
 	"tangled/internal/farm"
 	"tangled/internal/lint"
@@ -298,15 +299,14 @@ type AssembleResponse struct {
 	OptimizedWords []uint16    `json:"optimized_words,omitempty"`
 }
 
-// validate checks a RunRequest and resolves it into a farm job skeleton
-// (program assembly happens separately so assembler diagnostics can surface
-// with line info).
-// Validate checks the request's schema without touching a server: the
+// Validate checks the request without touching a server, returning the
+// 400 verdict. The server's own spelling rules live here (one of src and
+// words, the mode and stage names, RE knobs only on "re", pipelined runs
+// dense-only); every range and unknown-backend verdict is the backend
+// registry's (backend.Canonicalize), so the rules change in one place. The
 // cluster coordinator runs it before deriving a routing key, so requests
-// that no worker could accept skip keyed routing.
-func (r *RunRequest) Validate() error { return r.validate() }
-
-func (r *RunRequest) validate() error {
+// no worker could accept skip keyed routing.
+func (r *RunRequest) Validate() error {
 	if r.Src == "" && len(r.Words) == 0 {
 		return fmt.Errorf("program %q has neither src nor words", r.ID)
 	}
@@ -318,44 +318,21 @@ func (r *RunRequest) validate() error {
 	default:
 		return fmt.Errorf("program %q: mode %q is not \"functional\" or \"pipelined\"", r.ID, r.Mode)
 	}
-	switch r.Backend {
-	case "", qat.BackendDense:
-		if r.Ways < 0 || r.Ways > aob.MaxWays {
-			return fmt.Errorf("program %q: ways %d out of range [0,%d]", r.ID, r.Ways, aob.MaxWays)
-		}
-		if r.ChunkWays != 0 || r.SpillRuns != 0 {
-			return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
-		}
-	case qat.BackendRE:
-		if r.Mode == "pipelined" {
-			return fmt.Errorf("program %q: pipelined runs support only the dense backend", r.ID)
-		}
-		if r.Ways < 0 || r.Ways > qat.MaxREWays {
-			return fmt.Errorf("program %q: ways %d out of range [0,%d] for backend \"re\"", r.ID, r.Ways, qat.MaxREWays)
-		}
-		ways := r.Ways
-		if ways == 0 {
-			ways = aob.MaxWays
-		}
-		if r.ChunkWays < 0 || r.ChunkWays > aob.MaxWays || r.ChunkWays > ways {
-			return fmt.Errorf("program %q: chunk_ways %d out of range [0,min(%d,ways)]",
-				r.ID, r.ChunkWays, aob.MaxWays)
-		}
-	case backend.Auto:
-		if r.Mode == "pipelined" {
-			return fmt.Errorf("program %q: pipelined runs support only the dense backend", r.ID)
-		}
-		// Widths past every backend pass validation and fail at planning
-		// time as a 422 with the profile attached — the planner, not the
-		// request schema, owns that verdict.
-		if r.Ways < 0 {
-			return fmt.Errorf("program %q: negative ways %d", r.ID, r.Ways)
-		}
-		if r.ChunkWays != 0 || r.SpillRuns != 0 {
-			return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
-		}
-	default:
-		return fmt.Errorf("program %q: backend %q is not \"dense\", \"re\", or \"auto\"", r.ID, r.Backend)
+	if r.Mode == "pipelined" && r.Backend != "" && r.Backend != qat.BackendDense {
+		return fmt.Errorf("program %q: pipelined runs support only the dense backend", r.ID)
+	}
+	if r.Backend != qat.BackendRE && (r.ChunkWays != 0 || r.SpillRuns != 0) {
+		return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
+	}
+	cfg := qat.Config{Ways: r.Ways, Backend: r.Backend, ChunkWays: r.ChunkWays, SpillRuns: r.SpillRuns}
+	if r.Backend == backend.Auto {
+		// Checked as the widest backend it may plan: a width past every
+		// backend is the planner's verdict (a 422 carrying the profile),
+		// not a spelling error.
+		cfg.Backend, cfg.Ways = qat.BackendRE, min(r.Ways, qat.MaxREWays)
+	}
+	if _, err := backend.Canonicalize(cfg); err != nil {
+		return fmt.Errorf("program %q: %v", r.ID, err)
 	}
 	if r.Stages != 0 && r.Stages != 4 && r.Stages != 5 {
 		return fmt.Errorf("program %q: stages %d is not 4 or 5", r.ID, r.Stages)
@@ -369,31 +346,48 @@ func (r *RunRequest) validate() error {
 	return nil
 }
 
-// PipelineConfig builds the pipeline organization a pipelined RunRequest
-// asked for, on the paper's default timing. The cluster router keys
-// pipelined requests on it too.
-func (r *RunRequest) PipelineConfig() pipeline.Config {
-	cfg := pipeline.DefaultConfig()
-	if r.Stages != 0 {
-		cfg.Stages = r.Stages
+// Program is the image the request runs: Src assembled, or a copy of
+// Words. Assembly errors carry line diagnostics (asm.ErrorList).
+func (r *RunRequest) Program() (*asm.Program, error) {
+	if r.Src != "" {
+		return asm.Assemble(r.Src)
 	}
-	if r.Ways != 0 {
-		cfg.Ways = r.Ways
-	}
-	cfg.ConstantRegs = r.ConstRegs
-	return cfg
+	return &asm.Program{Words: append([]uint16(nil), r.Words...)}, nil
 }
 
-// StepBudget resolves the request's budget against a server's ceiling; a
-// zero cap means the default qasm.MaxSteps.
-func (r *RunRequest) StepBudget(cap uint64) uint64 {
-	if cap == 0 {
-		cap = qasm.MaxSteps
+// FarmJob is the farm job a validated request describes, running prog as
+// id with its budget clamped to stepCap (0 means qasm.MaxSteps, as does an
+// absent budget). It is the one RunRequest → farm.Job mapping: the server
+// executes the job and the cluster router keys it (farm.ExecKey), so a
+// route key is the worker's memo key. A backend:"auto" job is still
+// unresolved (farm.Engine.Resolve plans it); the per-request context is the
+// caller's to attach.
+func (r *RunRequest) FarmJob(id string, prog *asm.Program, stepCap uint64) farm.Job {
+	if stepCap == 0 {
+		stepCap = qasm.MaxSteps
 	}
-	if r.MaxSteps == 0 || r.MaxSteps > cap {
-		return cap
+	job := farm.Job{Name: id, Prog: prog, MaxSteps: stepCap, TraceTag: id}
+	if r.MaxSteps != 0 && r.MaxSteps < stepCap {
+		job.MaxSteps = r.MaxSteps
 	}
-	return r.MaxSteps
+	if r.TimeoutMs > 0 {
+		job.Timeout = time.Duration(r.TimeoutMs) * time.Millisecond
+	}
+	if r.Mode == "pipelined" {
+		job.Mode = farm.Pipelined
+		job.Pipeline = pipeline.DefaultConfig()
+		if r.Stages != 0 {
+			job.Pipeline.Stages = r.Stages
+		}
+		if r.Ways != 0 {
+			job.Pipeline.Ways = r.Ways
+		}
+		job.Pipeline.ConstantRegs = r.ConstRegs
+		return job
+	}
+	job.Ways, job.ConstantRegs = r.Ways, r.ConstRegs
+	job.Backend, job.REChunkWays, job.RESpillRuns = r.Backend, r.ChunkWays, r.SpillRuns
+	return job
 }
 
 // resultFrom converts one farm result into its wire form. Execution errors
@@ -417,6 +411,17 @@ func resultFrom(fr *farm.Result, id string, index int) RunResult {
 		out.Code = codeForRunError(fr.Err)
 	}
 	return out
+}
+
+// Status is the HTTP status a /v1/run response carries for this record:
+// caller-dependent failures (499 cancelled, 504 deadline) surface as the
+// status, everything else — including a program that failed at runtime
+// (Code 500) — is a 200. The cluster coordinator relays with the same rule.
+func (r *RunResult) Status() int {
+	if r.Code >= 400 && r.Code != http.StatusInternalServerError {
+		return r.Code
+	}
+	return http.StatusOK
 }
 
 // ClusterHealth is the body of GET /v1/healthz served by a cluster

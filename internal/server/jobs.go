@@ -73,7 +73,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec.ID = id
 	spec.Src = ""
 	spec.Words = built.Prog.Words
-	spec.MaxSteps = req.StepBudget(s.cfg.MaxSteps)
+	spec.MaxSteps = built.MaxSteps
 	raw, err := json.Marshal(jobSpec{Run: spec})
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, ErrorResponse{Error: "encode job spec: " + err.Error()})

@@ -14,8 +14,10 @@ import (
 	"net/http"
 	"testing"
 
+	"tangled/internal/backend"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/qasm"
+	"tangled/internal/qat"
 )
 
 func TestDifferentialHTTPREBackend(t *testing.T) {
@@ -127,5 +129,45 @@ func TestREBackendValidation(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re ways=20 run: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestValidateAgreesWithRegistry sweeps the backend/geometry grid and
+// requires RunRequest.Validate to accept exactly when the server's own
+// spelling rules pass and the backend registry accepts the configuration.
+// Auto is exempt from the width ceiling: a width past every backend is the
+// planner's 422, not a validation error.
+func TestValidateAgreesWithRegistry(t *testing.T) {
+	for _, b := range []string{"", qat.BackendDense, qat.BackendRE, backend.Auto, "bogus"} {
+		for _, ways := range []int{-1, 0, 8, 16, 17, 24, 25} {
+			for _, chunk := range []int{-1, 0, 4, 16, 17} {
+				for _, spill := range []int{-1, 0, 8} {
+					for _, mode := range []string{"functional", "pipelined"} {
+						req := RunRequest{Src: "sys", Mode: mode, Backend: b,
+							Ways: ways, ChunkWays: chunk, SpillRuns: spill}
+						spelled := (mode != "pipelined" || b == "" || b == qat.BackendDense) &&
+							(b == qat.BackendRE || (chunk == 0 && spill == 0))
+						cfg := qat.Config{Backend: b, Ways: ways, ChunkWays: chunk, SpillRuns: spill}
+						_, cerr := backend.Canonicalize(cfg)
+						if b == backend.Auto {
+							// Some registered driver must accept the
+							// request with the width held to its ceiling.
+							for _, name := range backend.Names() {
+								d, _ := backend.Lookup(name)
+								cfg.Backend, cfg.Ways = name, min(ways, d.MaxWays())
+								if _, cerr = backend.Canonicalize(cfg); cerr == nil {
+									break
+								}
+							}
+						}
+						want := spelled && cerr == nil
+						if got := req.Validate() == nil; got != want {
+							t.Errorf("%+v: Validate accepts=%v, want %v (spelling ok=%v, registry: %v)",
+								req, got, want, spelled, cerr)
+						}
+					}
+				}
+			}
+		}
 	}
 }

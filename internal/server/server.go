@@ -216,16 +216,12 @@ func New(cfg Config) (*Server, error) {
 				jw = 1
 			}
 		}
-		var jo *jobs.Obs
-		if cfg.Registry != nil {
-			jo = jobs.NewObs(cfg.Registry)
-		}
 		mgr, err := jobs.New(jobs.Config{
 			Dir:        cfg.JobsDir,
 			Workers:    jw,
 			QueueLimit: cfg.JobQueueLimit,
 			Retention:  cfg.JobRetention,
-			Obs:        jo,
+			Obs:        jobs.NewObs(cfg.Registry),
 		}, s.execJob)
 		if err != nil {
 			return nil, err
@@ -275,7 +271,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 		return nil, err
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = obs.NewHTTPServer(s.mux)
 	s.serveWG.Add(1)
 	go func() {
 		defer s.serveWG.Done()
@@ -534,16 +530,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.finishRun(w, id, resultFrom(&fr, id, 0))
 }
 
-// finishRun delivers a completed /v1/run result: caller-dependent failures
-// (deadline/cancel) surface as the HTTP status and are never replayable;
-// everything else is cached for idempotent resubmission and returned 200.
+// finishRun delivers a completed /v1/run result with its RunResult.Status:
+// caller-dependent failures (deadline/cancel) are never replayable;
+// everything else is cached for idempotent resubmission.
 func (s *Server) finishRun(w http.ResponseWriter, id string, res RunResult) {
-	if res.Code >= 400 && res.Code != http.StatusInternalServerError {
-		s.writeJSON(w, res.Code, res)
-		return
+	code := res.Status()
+	if code == http.StatusOK {
+		s.idemp.put(id, res)
 	}
-	s.idemp.put(id, res)
-	s.writeJSON(w, http.StatusOK, res)
+	s.writeJSON(w, code, res)
 }
 
 // handleBatch executes a program list as farm batches and streams one
@@ -755,21 +750,16 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 // buildJob resolves one RunRequest into a farm job, assembling source here
 // so diagnostics surface as a 400 with line info instead of a failed job.
 // On failure the returned status is 400, or 422 when a strict-lint server
-// refused a statically broken program.
+// refused a statically broken program or an auto width exceeds every
+// backend.
 func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (farm.Job, int, *ErrorResponse) {
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return farm.Job{}, http.StatusBadRequest, &ErrorResponse{Error: err.Error()}
 	}
-	var prog *asm.Program
-	if req.Src != "" {
-		p, err := asm.Assemble(req.Src)
-		if err != nil {
-			resp := assembleErrorResponse(err)
-			return farm.Job{}, http.StatusBadRequest, &resp
-		}
-		prog = p
-	} else {
-		prog = &asm.Program{Words: append([]uint16(nil), req.Words...)}
+	prog, err := req.Program()
+	if err != nil {
+		resp := assembleErrorResponse(err)
+		return farm.Job{}, http.StatusBadRequest, &resp
 	}
 	if s.cfg.StrictLint {
 		report := lint.Analyze(prog, lint.Options{Ways: req.Ways})
@@ -787,42 +777,13 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 			}
 		}
 	}
-	job := farm.Job{
-		Name:     id,
-		Prog:     prog,
-		MaxSteps: req.StepBudget(s.cfg.MaxSteps),
-		Ctx:      reqCtx,
-		TraceTag: id,
-	}
-	if req.TimeoutMs > 0 {
-		job.Timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if req.Mode == "pipelined" {
-		job.Mode = farm.Pipelined
-		job.Pipeline = req.PipelineConfig()
-	} else {
-		job.Mode = farm.Functional
-		job.Ways = req.Ways
-		job.ConstantRegs = req.ConstRegs
-		job.Backend = req.Backend
-		job.REChunkWays = req.ChunkWays
-		job.RESpillRuns = req.SpillRuns
-	}
-	if job.Backend == backend.Auto && job.Mode == farm.Functional {
+	job := req.FarmJob(id, prog, s.cfg.MaxSteps)
+	job.Ctx = reqCtx
+	if req.Backend == backend.Auto {
 		// Resolve the pseudo-backend here, before the memo probe and
 		// admission, so every downstream identity (idempotency replay,
-		// coalescing, memo keys) is over the concrete backend. The probe
-		// prefers a backend that already has this exact run memoized.
-		probe := func(cfg qat.Config) bool {
-			t := job
-			t.Ways, t.ConstantRegs = cfg.Ways, cfg.ConstantRegs
-			t.Backend, t.REChunkWays, t.RESpillRuns = cfg.Backend, cfg.ChunkWays, cfg.SpillRuns
-			_, hit := s.engine.MemoProbe(&t)
-			return hit
-		}
-		plan, err := backend.PlanAuto(prog,
-			qat.Config{Ways: job.Ways, ConstantRegs: job.ConstantRegs, Backend: backend.Auto}, probe)
-		if err != nil {
+		// coalescing, memo keys) is over the concrete backend.
+		if err := s.engine.Resolve(&job); err != nil {
 			var ue *backend.UnservableError
 			if errors.As(err, &ue) {
 				s.obs.unservable.Inc()
@@ -836,9 +797,6 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 			}
 		}
 		s.obs.autoPlanned.Inc()
-		job.Backend = plan.Config.Backend
-		job.REChunkWays = plan.Config.ChunkWays
-		job.RESpillRuns = plan.Config.SpillRuns
 	}
 	return job, 0, nil
 }

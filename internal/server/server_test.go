@@ -498,3 +498,14 @@ func postJSONErr(url string, body interface{}) error {
 	}
 	return nil
 }
+
+// TestStartSetsHeaderTimeouts pins that the listener Start opens cuts
+// clients that dribble their headers or idle on keep-alive (the cut itself
+// is exercised in internal/obs, which builds the http.Server).
+func TestStartSetsHeaderTimeouts(t *testing.T) {
+	s, _ := startTestServer(t, Config{})
+	if s.httpSrv.ReadHeaderTimeout <= 0 || s.httpSrv.IdleTimeout <= 0 {
+		t.Fatalf("header timeout %v, idle timeout %v: both must be set",
+			s.httpSrv.ReadHeaderTimeout, s.httpSrv.IdleTimeout)
+	}
+}
