@@ -22,6 +22,7 @@ import (
 	"tangled/internal/gates"
 	"tangled/internal/pipeline"
 	"tangled/internal/qasm"
+	"tangled/internal/qat"
 	"tangled/internal/re"
 	"tangled/internal/rex"
 )
@@ -270,6 +271,39 @@ func BenchmarkFig10PipelineFactor(b *testing.B) {
 	b.ReportMetric(p.Stats.CPI(), "CPI")
 	b.ReportMetric(float64(res.QatInsts), "qat-insts")
 	b.ReportMetric(float64(res.RegsUsed), "qat-regs")
+}
+
+// BenchmarkFig10FactorRE20 runs the Figure 10 factoring program for 221
+// (8x8-bit operands) on the functional machine with the run-encoded Qat
+// register file at 20 ways, beyond the dense hardware limit. The machine is
+// reused across iterations the way a pooled farm worker reuses it, so the
+// symbol space is warm and the figure is the steady-state per-run cost.
+func BenchmarkFig10FactorRE20(b *testing.B) {
+	res, err := compile.FactorProgram(221, 20, 8, 8, compile.Options{Reuse: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := asm.Assemble(res.Asm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := cpu.NewFromConfig(qat.Config{Ways: 20, Backend: qat.BackendRE})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Load(prog); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Run(qasm.MaxSteps); err != nil {
+			b.Fatal(err)
+		}
+		if m.Regs[4]*m.Regs[1] != 221 {
+			b.Fatalf("wrong factors %d x %d", m.Regs[4], m.Regs[1])
+		}
+	}
 }
 
 // BenchmarkS31PipelineOrganizations sweeps the Section 3.1 design space:

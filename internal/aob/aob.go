@@ -459,8 +459,16 @@ func (v *Vector) Equal(o *Vector) bool {
 	if v.ways != o.ways {
 		return false
 	}
-	for i := range v.words {
-		if v.words[i] != o.words[i] {
+	vw := v.words
+	ow := o.words[:len(vw)]
+	i := 0
+	for ; i+4 <= len(vw); i += 4 {
+		if (vw[i]^ow[i])|(vw[i+1]^ow[i+1])|(vw[i+2]^ow[i+2])|(vw[i+3]^ow[i+3]) != 0 {
+			return false
+		}
+	}
+	for ; i < len(vw); i++ {
+		if vw[i] != ow[i] {
 			return false
 		}
 	}

@@ -28,7 +28,6 @@
 package re
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -39,10 +38,12 @@ import (
 // numbers must fit in a uint64 with room for arithmetic.
 const MaxWays = 62
 
-// DefaultSymbolCap bounds the intern table of a new Space. At the hardware
-// chunk size (16 ways, 8 KiB per symbol) the cap holds the table near 32 MiB
-// worst case; adversarial op sequences that mint unbounded distinct chunks
-// hit the cap and trigger a table reset instead of growing without limit.
+// DefaultSymbolCap bounds the intern table of a new Space. The table holds
+// at most cap symbols and no copies of them (it is keyed by a hash of each
+// chunk), so a full table costs cap x chunk bytes: 4096 x 8 KiB = 32 MiB at
+// the hardware chunk size of 16 ways. Adversarial op sequences that mint
+// unbounded distinct chunks hit the cap and trigger a table reset instead
+// of growing without limit.
 const DefaultSymbolCap = 4096
 
 // Space defines the geometry of a family of patterns — total entanglement
@@ -57,17 +58,25 @@ const DefaultSymbolCap = 4096
 // — old patterns stay perfectly usable, adjacent runs just stop merging
 // against newly interned equals — which is why Equal compares structurally
 // rather than by symbol pointer.
+//
+// Interning allocates nothing on a hit: every site computes its candidate
+// chunk into the Space's scratch vector, and the scratch is adopted as the
+// new symbol (and replaced) only on a miss.
 type Space struct {
 	ways      int // total entanglement degree E
 	chunkWays int // each symbol covers 2^chunkWays channels
 
-	symbols   map[string]*aob.Vector
+	symbols   *aob.VectorSet
 	memo      map[memoKey]*aob.Vector
 	symbolCap int // intern entries before reset; <= 0 means unbounded
 	resets    uint64
+	scratch   *aob.Vector // the next intern candidate; never a symbol
 
 	zeroSym *aob.Vector
 	oneSym  *aob.Vector
+	// had[k] is the interned Had(k) symbol for k < chunkWays, nil until
+	// first use and again after a reset.
+	had [aob.MaxWays]*aob.Vector
 }
 
 type memoKey struct {
@@ -91,12 +100,14 @@ func NewSpace(ways, chunkWays int) (*Space, error) {
 	s := &Space{
 		ways:      ways,
 		chunkWays: chunkWays,
-		symbols:   make(map[string]*aob.Vector),
+		symbols:   aob.NewVectorSet(),
 		memo:      make(map[memoKey]*aob.Vector),
 		symbolCap: DefaultSymbolCap,
+		scratch:   aob.New(chunkWays),
 	}
-	s.zeroSym = s.intern(aob.New(chunkWays))
-	s.oneSym = s.intern(aob.OneVector(chunkWays))
+	s.zeroSym = s.intern()
+	s.scratch.One()
+	s.oneSym = s.intern()
 	return s, nil
 }
 
@@ -126,7 +137,7 @@ func (s *Space) chunkChannels() uint64 { return uint64(1) << uint(s.chunkWays) }
 
 // SymbolCount reports how many distinct chunk symbols have been interned —
 // a direct measure of how much sharing compression achieves.
-func (s *Space) SymbolCount() int { return len(s.symbols) }
+func (s *Space) SymbolCount() int { return s.symbols.Len() }
 
 // SymbolCap returns the intern-table bound; <= 0 means unbounded.
 func (s *Space) SymbolCap() int { return s.symbolCap }
@@ -141,43 +152,39 @@ func (s *Space) SetSymbolCap(n int) { s.symbolCap = n }
 // distinct chunks than the table holds.
 func (s *Space) Resets() uint64 { return s.resets }
 
-// intern returns the canonical copy of sym, adopting it if unseen. Callers
-// must not mutate a vector after interning it. When adopting would push the
-// table past the cap, the table (and the op memo, whose keys are symbol
-// pointers) is reset first and rebuilt lazily.
-func (s *Space) intern(sym *aob.Vector) *aob.Vector {
-	key := symKey(sym)
-	if got, ok := s.symbols[key]; ok {
-		return got
+// intern returns the canonical symbol with the scratch vector's content.
+// On a hit it allocates nothing and the scratch stays scratch; on a miss the
+// scratch itself is adopted as the symbol and a fresh scratch takes its
+// place, so an adopted vector is never written again. When adopting pushes
+// the table past the cap, the table (and the op memo and Hadamard cache,
+// whose entries are symbol pointers) is reset first and rebuilt lazily.
+func (s *Space) intern() *aob.Vector {
+	sym, added := s.symbols.Intern(s.scratch)
+	if !added {
+		return sym
 	}
-	if s.symbolCap > 0 && len(s.symbols) >= s.symbolCap {
+	if s.symbolCap > 0 && s.symbols.Len() > s.symbolCap {
 		s.resetSymbols()
+		s.symbols.Intern(sym)
 	}
-	s.symbols[key] = sym
+	s.scratch = aob.New(s.chunkWays)
 	return sym
 }
 
-// resetSymbols drops the intern table and op memo, keeping the canonical
-// zero/one symbols (when already minted) so Zero()/One() patterns stay
-// pointer-shared with future ones.
+// resetSymbols drops the intern table, op memo and Hadamard cache, keeping
+// the canonical zero/one symbols (when already minted) so Zero()/One()
+// patterns stay pointer-shared with future ones.
 func (s *Space) resetSymbols() {
-	s.symbols = make(map[string]*aob.Vector, 2)
-	s.memo = make(map[memoKey]*aob.Vector)
+	s.symbols.Clear()
+	clear(s.memo)
+	s.had = [aob.MaxWays]*aob.Vector{}
 	s.resets++
 	if s.zeroSym != nil {
-		s.symbols[symKey(s.zeroSym)] = s.zeroSym
+		s.symbols.Intern(s.zeroSym)
 	}
 	if s.oneSym != nil {
-		s.symbols[symKey(s.oneSym)] = s.oneSym
+		s.symbols.Intern(s.oneSym)
 	}
-}
-
-func symKey(v *aob.Vector) string {
-	buf := make([]byte, 8*v.NumWords())
-	for i := 0; i < v.NumWords(); i++ {
-		binary.LittleEndian.PutUint64(buf[8*i:], v.Word(i))
-	}
-	return string(buf)
 }
 
 // run is one maximal repetition: count copies of sym.
@@ -212,7 +219,12 @@ func (s *Space) Had(k int) *Pattern {
 		panic(fmt.Sprintf("re: had index %d out of range [0,%d)", k, s.ways))
 	}
 	if k < s.chunkWays {
-		sym := s.intern(aob.HadVector(s.chunkWays, k))
+		sym := s.had[k]
+		if sym == nil {
+			s.scratch.Had(k)
+			sym = s.intern()
+			s.had[k] = sym
+		}
 		return &Pattern{sp: s, runs: []run{{sym, s.chunks()}}}
 	}
 	runLen := uint64(1) << uint(k-s.chunkWays)
@@ -232,8 +244,8 @@ func (s *Space) FromAoB(v *aob.Vector) (*Pattern, error) {
 	if v.Ways() != s.chunkWays {
 		return nil, fmt.Errorf("re: vector ways %d != chunkWays %d", v.Ways(), s.chunkWays)
 	}
-	sym := s.intern(v.Clone())
-	return &Pattern{sp: s, runs: []run{{sym, s.chunks()}}}, nil
+	s.scratch.CopyFrom(v)
+	return &Pattern{sp: s, runs: []run{{s.intern(), s.chunks()}}}, nil
 }
 
 // FromBits builds a pattern from an explicit channel-0-first bit slice of
@@ -245,11 +257,10 @@ func (s *Space) FromBits(bits []bool) (*Pattern, error) {
 	cc := s.chunkChannels()
 	var runs []run
 	for ci := uint64(0); ci < s.chunks(); ci++ {
-		v := aob.New(s.chunkWays)
 		for off := uint64(0); off < cc; off++ {
-			v.Set(off, bits[ci*cc+off])
+			s.scratch.Set(off, bits[ci*cc+off])
 		}
-		sym := s.intern(v)
+		sym := s.intern()
 		if n := len(runs); n > 0 && runs[n-1].sym == sym {
 			runs[n-1].count++
 		} else {
@@ -272,7 +283,7 @@ func (s *Space) FromDense(v *aob.Vector) (*Pattern, error) {
 	cwords := int((cc + 63) / 64)
 	var runs []run
 	for ci := uint64(0); ci < s.chunks(); ci++ {
-		c := aob.New(s.chunkWays)
+		c := s.scratch
 		if s.chunkWays >= 6 {
 			for w := 0; w < cwords; w++ {
 				c.SetWord(w, v.Word(int(ci)*cwords+w))
@@ -282,7 +293,7 @@ func (s *Space) FromDense(v *aob.Vector) (*Pattern, error) {
 				c.Set(off, v.Get(ci*cc+off))
 			}
 		}
-		sym := s.intern(c)
+		sym := s.intern()
 		if n := len(runs); n > 0 && runs[n-1].sym == sym {
 			runs[n-1].count++
 		} else {
@@ -359,8 +370,9 @@ func (p *Pattern) mustShareSpace(q *Pattern) {
 }
 
 // combine walks two run lists in lockstep applying the memoized chunk op.
-func (s *Space) combine(op byte, a, b *Pattern, f func(x, y *aob.Vector) *aob.Vector) *Pattern {
-	var out []run
+func (s *Space) combine(op byte, a, b *Pattern) *Pattern {
+	// A result run can only start where a run of either operand starts.
+	out := make([]run, 0, len(a.runs)+len(b.runs)-1)
 	ai, bi := 0, 0
 	aLeft, bLeft := uint64(0), uint64(0)
 	if len(a.runs) > 0 {
@@ -374,7 +386,7 @@ func (s *Space) combine(op byte, a, b *Pattern, f func(x, y *aob.Vector) *aob.Ve
 		if bLeft < n {
 			n = bLeft
 		}
-		sym := s.memoBinary(op, a.runs[ai].sym, b.runs[bi].sym, f)
+		sym := s.memoBinary(op, a.runs[ai].sym, b.runs[bi].sym)
 		if m := len(out); m > 0 && out[m-1].sym == sym {
 			out[m-1].count += n
 		} else {
@@ -398,12 +410,22 @@ func (s *Space) combine(op byte, a, b *Pattern, f func(x, y *aob.Vector) *aob.Ve
 	return &Pattern{sp: s, runs: out}
 }
 
-func (s *Space) memoBinary(op byte, x, y *aob.Vector, f func(x, y *aob.Vector) *aob.Vector) *aob.Vector {
+// memoBinary returns the interned chunk x op y, computing it into the
+// scratch vector only when the pair is not memoized.
+func (s *Space) memoBinary(op byte, x, y *aob.Vector) *aob.Vector {
 	k := memoKey{op, x, y}
 	if got, ok := s.memo[k]; ok {
 		return got
 	}
-	sym := s.intern(f(x, y))
+	switch op {
+	case '&':
+		s.scratch.And(x, y)
+	case '|':
+		s.scratch.Or(x, y)
+	case '^':
+		s.scratch.Xor(x, y)
+	}
+	sym := s.intern()
 	s.memo[k] = sym
 	// Symmetric ops hit from either operand order.
 	s.memo[memoKey{op, y, x}] = sym
@@ -413,31 +435,19 @@ func (s *Space) memoBinary(op byte, x, y *aob.Vector, f func(x, y *aob.Vector) *
 // And returns p AND q channel-wise.
 func (p *Pattern) And(q *Pattern) *Pattern {
 	p.mustShareSpace(q)
-	return p.sp.combine('&', p, q, func(x, y *aob.Vector) *aob.Vector {
-		v := aob.New(p.sp.chunkWays)
-		v.And(x, y)
-		return v
-	})
+	return p.sp.combine('&', p, q)
 }
 
 // Or returns p OR q channel-wise.
 func (p *Pattern) Or(q *Pattern) *Pattern {
 	p.mustShareSpace(q)
-	return p.sp.combine('|', p, q, func(x, y *aob.Vector) *aob.Vector {
-		v := aob.New(p.sp.chunkWays)
-		v.Or(x, y)
-		return v
-	})
+	return p.sp.combine('|', p, q)
 }
 
 // Xor returns p XOR q channel-wise.
 func (p *Pattern) Xor(q *Pattern) *Pattern {
 	p.mustShareSpace(q)
-	return p.sp.combine('^', p, q, func(x, y *aob.Vector) *aob.Vector {
-		v := aob.New(p.sp.chunkWays)
-		v.Xor(x, y)
-		return v
-	})
+	return p.sp.combine('^', p, q)
 }
 
 // Not returns the channel-wise complement of p.
@@ -448,9 +458,9 @@ func (p *Pattern) Not() *Pattern {
 		k := memoKey{'~', r.sym, nil}
 		sym, ok := s.memo[k]
 		if !ok {
-			v := r.sym.Clone()
-			v.Not()
-			sym = s.intern(v)
+			s.scratch.CopyFrom(r.sym)
+			s.scratch.Not()
+			sym = s.intern()
 			s.memo[k] = sym
 		}
 		if m := len(out); m > 0 && out[m-1].sym == sym {

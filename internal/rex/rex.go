@@ -35,7 +35,6 @@
 package rex
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"tangled/internal/aob"
@@ -60,7 +59,7 @@ type Space struct {
 	ways      int
 	chunkWays int
 
-	symbols map[string]*aob.Vector
+	symbols *aob.VectorSet
 	leaves  map[*aob.Vector]*node
 	pairs   map[[2]uint64]*node
 	opMemo  map[opKey]*node
@@ -99,7 +98,7 @@ func NewSpace(ways, chunkWays int) (*Space, error) {
 	s := &Space{
 		ways:      ways,
 		chunkWays: chunkWays,
-		symbols:   make(map[string]*aob.Vector),
+		symbols:   aob.NewVectorSet(),
 		leaves:    make(map[*aob.Vector]*node),
 		pairs:     make(map[[2]uint64]*node),
 		opMemo:    make(map[opKey]*node),
@@ -144,26 +143,16 @@ func (s *Space) height() int { return s.ways - s.chunkWays }
 func (s *Space) chunkChannels() uint64 { return uint64(1) << uint(s.chunkWays) }
 
 // SymbolCount reports distinct interned chunk symbols.
-func (s *Space) SymbolCount() int { return len(s.symbols) }
+func (s *Space) SymbolCount() int { return s.symbols.Len() }
 
 // NodeCount reports the total hash-consed node pool size.
 func (s *Space) NodeCount() int { return len(s.leaves) + len(s.pairs) }
 
+// intern returns the canonical copy of sym, adopting it if unseen. Callers
+// must not mutate a vector after interning it.
 func (s *Space) intern(sym *aob.Vector) *aob.Vector {
-	key := symKey(sym)
-	if got, ok := s.symbols[key]; ok {
-		return got
-	}
-	s.symbols[key] = sym
-	return sym
-}
-
-func symKey(v *aob.Vector) string {
-	buf := make([]byte, 8*v.NumWords())
-	for i := 0; i < v.NumWords(); i++ {
-		binary.LittleEndian.PutUint64(buf[8*i:], v.Word(i))
-	}
-	return string(buf)
+	got, _ := s.symbols.Intern(sym)
+	return got
 }
 
 // leaf returns the canonical leaf node for an interned symbol.
