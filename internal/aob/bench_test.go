@@ -7,10 +7,10 @@ import (
 )
 
 // Kernel benchmarks at the three widths that matter: the student hardware
-// (8), an intermediate (12), and the paper's Qat (16, 1024 words). The
-// cmd/qatfarm -bench-aob harness measures the same kernels outside the
-// testing framework for the BENCH_aob.json artifact; these exist for
-// benchstat-style iteration during development.
+// (8), an intermediate (12), and the paper's Qat (16, 1024 words). They
+// exist for benchstat-style iteration during development; the pass/fail
+// gate on the kernels' word parallelism is TestKernelsBeatChannelLoop, and
+// perfbench reports the w8/w12/w16 figures as aob.*_ns.
 
 var benchWays = []int{8, 12, 16}
 

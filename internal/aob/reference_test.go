@@ -33,6 +33,48 @@ func (m model) equal(v *Vector) bool {
 	return true
 }
 
+// The gate ops write m channel by channel, exactly as Table 3 specifies
+// them; the operands may alias m.
+
+func (m model) and(a, b model) {
+	for ch := range m {
+		m[ch] = a[ch] && b[ch]
+	}
+}
+
+func (m model) or(a, b model) {
+	for ch := range m {
+		m[ch] = a[ch] || b[ch]
+	}
+}
+
+func (m model) xor(a, b model) {
+	for ch := range m {
+		m[ch] = a[ch] != b[ch]
+	}
+}
+
+func (m model) not() {
+	for ch := range m {
+		m[ch] = !m[ch]
+	}
+}
+
+func (m model) cnot(ctrl model) { m.xor(m, ctrl) }
+
+func (m model) ccnot(b, c model) {
+	for ch := range m {
+		m[ch] = m[ch] != (b[ch] && c[ch])
+	}
+}
+
+// had writes the Hadamard pattern Hk: channel ch holds bit k of ch.
+func (m model) had(k int) {
+	for ch := range m {
+		m[ch] = ch>>uint(k)&1 == 1
+	}
+}
+
 func (m model) next(s uint64) uint64 {
 	for ch := s + 1; ch < uint64(len(m)); ch++ {
 		if m[ch] {
@@ -88,12 +130,10 @@ func TestReferenceUnaryOpsExhaustive(t *testing.T) {
 		enumerateVectors(t, ways, func(v *Vector) {
 			m := modelOf(v)
 			// Not.
-			nv := v.Clone()
+			nv, nm := v.Clone(), modelOf(v)
 			nv.Not()
-			for ch := range m {
-				if nv.Get(uint64(ch)) == m[ch] {
-					t.Fatalf("ways=%d not: ch %d", ways, ch)
-				}
+			if nm.not(); !nm.equal(nv) {
+				t.Fatalf("ways=%d not: %s", ways, v)
 			}
 			// Pop / Any / All.
 			if v.Pop() != m.pop() {
@@ -126,32 +166,24 @@ func TestReferenceBinaryOpsExhaustive(t *testing.T) {
 	enumerateVectors(t, ways, func(a *Vector) {
 		enumerateVectors(t, ways, func(b *Vector) {
 			ma, mb := modelOf(a), modelOf(b)
-			d := New(ways)
+			d, md := New(ways), make(model, len(ma))
 			d.And(a, b)
-			for ch := range ma {
-				if d.Get(uint64(ch)) != (ma[ch] && mb[ch]) {
-					t.Fatalf("and %s %s", a, b)
-				}
+			if md.and(ma, mb); !md.equal(d) {
+				t.Fatalf("and %s %s", a, b)
 			}
 			d.Or(a, b)
-			for ch := range ma {
-				if d.Get(uint64(ch)) != (ma[ch] || mb[ch]) {
-					t.Fatalf("or %s %s", a, b)
-				}
+			if md.or(ma, mb); !md.equal(d) {
+				t.Fatalf("or %s %s", a, b)
 			}
 			d.Xor(a, b)
-			for ch := range ma {
-				if d.Get(uint64(ch)) != (ma[ch] != mb[ch]) {
-					t.Fatalf("xor %s %s", a, b)
-				}
+			if md.xor(ma, mb); !md.equal(d) {
+				t.Fatalf("xor %s %s", a, b)
 			}
 			// CNot: a ^= b.
-			c := a.Clone()
+			c, mc := a.Clone(), modelOf(a)
 			c.CNot(b)
-			for ch := range ma {
-				if c.Get(uint64(ch)) != (ma[ch] != mb[ch]) {
-					t.Fatalf("cnot %s %s", a, b)
-				}
+			if mc.cnot(mb); !mc.equal(c) {
+				t.Fatalf("cnot %s %s", a, b)
 			}
 			// Swap.
 			x, y := a.Clone(), b.Clone()
@@ -170,13 +202,10 @@ func TestReferenceTernaryOpsExhaustive(t *testing.T) {
 			enumerateVectors(t, ways, func(cc *Vector) {
 				ma, mb, mc := modelOf(a), modelOf(b), modelOf(cc)
 				// CCNot: a ^= b & c.
-				x := a.Clone()
+				x, mx := a.Clone(), modelOf(a)
 				x.CCNot(b, cc)
-				for ch := range ma {
-					want := ma[ch] != (mb[ch] && mc[ch])
-					if x.Get(uint64(ch)) != want {
-						t.Fatalf("ccnot %s %s %s", a, b, cc)
-					}
+				if mx.ccnot(mb, mc); !mx.equal(x) {
+					t.Fatalf("ccnot %s %s %s", a, b, cc)
 				}
 				// CSwap controlled by c.
 				p, q := a.Clone(), b.Clone()

@@ -27,8 +27,8 @@ func qatOpNames() []string {
 
 // Metrics is the coprocessor counter set; nil disables instrumentation.
 type Metrics struct {
-	// Ops counts executed Qat instructions by opcode (the shared-handle,
-	// cross-machine counterpart of Coprocessor.Ops).
+	// Ops counts executed Qat instructions by opcode, rejected attempts
+	// included.
 	Ops *obs.CounterVec
 	// WordOps counts 64-bit AoB words processed: the SIMD work a gate-level
 	// Qat implementation performs, NumWords per written register (two for

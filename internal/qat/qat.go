@@ -37,9 +37,6 @@ type Coprocessor struct {
 	// only what a run touched instead of the whole 256-register file.
 	dirty [isa.NumQRegs / 64]uint64
 
-	// Ops counts executed Qat operations, by opcode.
-	Ops map[isa.Op]uint64
-
 	// Meter, when non-nil, accumulates switching/erasure energy proxies
 	// for every executed operation (see package energy).
 	Meter *energy.Meter
@@ -54,7 +51,7 @@ type Coprocessor struct {
 // New returns a Qat coprocessor with ways-way entanglement and all
 // registers cleared.
 func New(ways int) *Coprocessor {
-	q := &Coprocessor{ways: ways, Ops: make(map[isa.Op]uint64)}
+	q := &Coprocessor{ways: ways}
 	for i := range q.regs {
 		q.regs[i] = aob.New(ways)
 	}
@@ -143,14 +140,13 @@ func (q *Coprocessor) SetReg(qa uint8, v *aob.Vector) {
 	q.markDirty(qa)
 }
 
-// Reset clears all non-reserved registers and the per-opcode counters. It
-// reuses every allocation — register vectors are zeroed in place and the Ops
-// map is emptied rather than replaced — so a pooled coprocessor can be reset
-// between runs without touching the heap. On the dense backend only the
-// registers written since the last Reset are zeroed; every other one still
-// holds the zero it was last left with. An attached Meter is deliberately
-// left accumulating (metering spans runs by design); detach or reset it
-// separately when a machine changes tenants.
+// Reset clears all non-reserved registers. It reuses every allocation —
+// register vectors are zeroed in place — so a pooled coprocessor can be
+// reset between runs without touching the heap. On the dense backend only
+// the registers written since the last Reset are zeroed; every other one
+// still holds the zero it was last left with. An attached Meter is
+// deliberately left accumulating (metering spans runs by design); detach or
+// reset it separately when a machine changes tenants.
 func (q *Coprocessor) Reset() {
 	if q.re != nil {
 		zero := q.re.sp.Zero()
@@ -172,9 +168,6 @@ func (q *Coprocessor) Reset() {
 		}
 	}
 	q.dirty = [len(q.dirty)]uint64{}
-	for k := range q.Ops {
-		delete(q.Ops, k)
-	}
 }
 
 // checkWrite rejects writes to reserved constants and marks every other
@@ -196,10 +189,9 @@ func (q *Coprocessor) markDirty(qa uint8) { q.dirty[qa/64] |= 1 << (qa % 64) }
 // Every rejection happens here, before either backend touches state: a
 // non-Qat op, a write to a reserved constant (each register the isa table
 // says the op writes is checked in turn), or a had pattern beyond the
-// hardware. A rejected op is counted in Ops and Metrics.Ops as an attempt
-// but is not metered and costs no word operations.
+// hardware. A rejected Qat op is counted in Metrics.Ops as an attempt but
+// is not metered and costs no word operations.
 func (q *Coprocessor) Exec(inst isa.Inst, rd uint16) (out uint16, writes bool, err error) {
-	q.Ops[inst.Op]++
 	if q.Metrics != nil {
 		q.Metrics.Ops.At(int(inst.Op) - int(isa.OpQZero)).Inc()
 	}

@@ -6,6 +6,7 @@ import (
 
 	"tangled/internal/aob"
 	"tangled/internal/isa"
+	"tangled/internal/obs"
 )
 
 func exec(t *testing.T, q *Coprocessor, inst isa.Inst, rd uint16) uint16 {
@@ -133,14 +134,25 @@ func TestExecRejectsTangledOps(t *testing.T) {
 	}
 }
 
+// opCount reads the Metrics.Ops counter for op.
+func opCount(q *Coprocessor, op isa.Op) uint64 {
+	return q.Metrics.Ops.At(int(op) - int(isa.OpQZero)).Value()
+}
+
+// TestOpsCounting: Metrics.Ops counts executed ops by opcode, and an op
+// Exec rejects still counts as an attempt.
 func TestOpsCounting(t *testing.T) {
 	q := New(4)
+	q.Metrics = NewMetrics(obs.NewRegistry())
 	for i := 0; i < 5; i++ {
 		exec(t, q, isa.Inst{Op: isa.OpQZero, QA: 1}, 0)
 	}
 	exec(t, q, isa.Inst{Op: isa.OpQOne, QA: 2}, 0)
-	if q.Ops[isa.OpQZero] != 5 || q.Ops[isa.OpQOne] != 1 {
-		t.Errorf("op counts: %v", q.Ops)
+	if _, _, err := q.Exec(isa.Inst{Op: isa.OpQHad, QA: 3, K: 9}, 0); err == nil {
+		t.Fatal("had beyond the hardware accepted")
+	}
+	if z, o, h := opCount(q, isa.OpQZero), opCount(q, isa.OpQOne), opCount(q, isa.OpQHad); z != 5 || o != 1 || h != 1 {
+		t.Errorf("op counts zero/one/had = %d/%d/%d, want 5/1/1", z, o, h)
 	}
 }
 
@@ -188,9 +200,6 @@ func TestReset(t *testing.T) {
 	}
 	if q.Reg(ConstOneReg()).Pop() != 256 {
 		t.Error("reset clobbered the constant bank")
-	}
-	if len(q.Ops) != 0 {
-		t.Error("reset kept op counts")
 	}
 }
 

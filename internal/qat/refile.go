@@ -121,7 +121,7 @@ func NewFromConfig(cfg Config) (*Coprocessor, error) {
 	if ways > aob.MaxWays {
 		spill = -1 // no dense form exists to spill into
 	}
-	q := &Coprocessor{ways: ways, Ops: make(map[isa.Op]uint64)}
+	q := &Coprocessor{ways: ways}
 	q.re = &reFile{sp: sp, spillRuns: spill}
 	for i := range q.re.pats {
 		q.re.pats[i] = sp.Zero()
