@@ -15,6 +15,7 @@ import (
 
 	"tangled/internal/aob"
 	"tangled/internal/asm"
+	"tangled/internal/backend"
 	"tangled/internal/compile"
 	"tangled/internal/core"
 	"tangled/internal/cpu"
@@ -287,10 +288,11 @@ func BenchmarkFig10FactorRE20(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := cpu.NewFromConfig(qat.Config{Ways: 20, Backend: qat.BackendRE})
+	q, err := backend.New(qat.Config{Ways: 20, Backend: qat.BackendRE})
 	if err != nil {
 		b.Fatal(err)
 	}
+	m := cpu.NewWith(q)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -332,10 +334,10 @@ func BenchmarkS31PipelineOrganizations(b *testing.B) {
 		name string
 		c    pipeline.Config
 	}{
-		{"5stage", pipeline.Config{Stages: 5, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
-		{"4stage", pipeline.Config{Stages: 4, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
-		{"5stage-noFwd", pipeline.Config{Stages: 5, Ways: 8, MulLatency: 1, QatNextLatency: 1}},
-		{"5stage-narrowFetch", pipeline.Config{Stages: 5, Ways: 8, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 1, QatNextLatency: 1}},
+		{"5stage", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
+		{"4stage", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
+		{"5stage-noFwd", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, MulLatency: 1, QatNextLatency: 1}},
+		{"5stage-narrowFetch", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 1, QatNextLatency: 1}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			p, err := pipeline.New(cfg.c)
@@ -446,7 +448,7 @@ func BenchmarkSMCMultiCycleVsPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := cpu.New(4)
-	p, err := pipeline.New(pipeline.Config{Stages: 5, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1})
+	p, err := pipeline.New(pipeline.Config{Config: qat.Config{Ways: 4}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"tangled/internal/netlist"
 	"tangled/internal/pipeline"
 	"tangled/internal/qasm"
+	"tangled/internal/qat"
 	"tangled/internal/re"
 	"tangled/internal/rex"
 )
@@ -211,11 +212,11 @@ func s31() {
 		name string
 		cfg  pipeline.Config
 	}{
-		{"4-stage fwd", pipeline.Config{Stages: 4, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
-		{"5-stage fwd", pipeline.Config{Stages: 5, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
-		{"5-stage no-fwd", pipeline.Config{Stages: 5, Ways: 8, MulLatency: 1, QatNextLatency: 1}},
-		{"5-stage narrow-fetch", pipeline.Config{Stages: 5, Ways: 8, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 1, QatNextLatency: 1}},
-		{"5-stage next-lat-4", pipeline.Config{Stages: 5, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 4}},
+		{"4-stage fwd", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
+		{"5-stage fwd", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}},
+		{"5-stage no-fwd", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, MulLatency: 1, QatNextLatency: 1}},
+		{"5-stage narrow-fetch", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 1, QatNextLatency: 1}},
+		{"5-stage next-lat-4", pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 4}},
 	} {
 		s, err := qasm.RunPipelined(straight, c.cfg)
 		if err != nil {
@@ -303,7 +304,7 @@ func multicycle() {
 	if err := fm.Run(10_000_000); err != nil {
 		log.Fatal(err)
 	}
-	p, err := qasm.RunPipelined(src, pipeline.Config{Stages: 5, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 1})
+	p, err := qasm.RunPipelined(src, pipeline.Config{Config: qat.Config{Ways: 8}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"tangled/internal/compile"
 	"tangled/internal/pipeline"
 	"tangled/internal/qasm"
+	"tangled/internal/qat"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 	}
 
 	cfg := pipeline.Config{
-		Stages: *stages, Ways: w, Forwarding: true,
+		Config: qat.Config{Ways: w}, Stages: *stages, Forwarding: true,
 		MulLatency: 1, QatNextLatency: 1,
 	}
 	rep, err := qasm.Factor(n, ab, bb, opts, cfg)

@@ -48,6 +48,7 @@ import (
 	"tangled/internal/obs"
 	"tangled/internal/pipeline"
 	"tangled/internal/qasm"
+	"tangled/internal/qat"
 )
 
 func main() {
@@ -104,7 +105,7 @@ func main() {
 		defer cancel()
 	}
 	copts := compile.Options{Reuse: *reuse, ConstantRegs: *constRegs}
-	pcfg := pipeline.Config{Stages: *stages, Ways: w, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	pcfg := pipeline.Config{Config: qat.Config{Ways: w}, Stages: *stages, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 
 	engine := farm.New(*workers)
 	var reg *obs.Registry

@@ -21,6 +21,7 @@ import (
 	"tangled/internal/compile"
 	"tangled/internal/pipeline"
 	"tangled/internal/qasm"
+	"tangled/internal/qat"
 )
 
 func main() {
@@ -57,7 +58,7 @@ func main() {
 		fmt.Print(res.Asm)
 		return
 	}
-	cfg := pipeline.Config{Stages: *stages, Ways: w, Forwarding: true,
+	cfg := pipeline.Config{Config: qat.Config{Ways: w}, Stages: *stages, Forwarding: true,
 		MulLatency: 1, QatNextLatency: 1}
 	run, err := qasm.RunPipelined(res.Asm, cfg)
 	if err != nil {

@@ -38,7 +38,7 @@ import (
 )
 
 func main() {
-	ways := flag.Int("ways", 16, "Qat entanglement degree (1-16)")
+	ways := flag.Int("ways", 16, "Qat entanglement degree (0 means 16; dense up to 16, re up to 24)")
 	pipe := flag.Bool("pipeline", false, "run on the cycle-accurate pipelined model")
 	stages := flag.Int("stages", 5, "pipeline depth (4 or 5)")
 	noFwd := flag.Bool("no-forwarding", false, "disable forwarding (pipeline mode)")
@@ -46,7 +46,7 @@ func main() {
 	mulLat := flag.Int("mul-latency", 1, "EX cycles for integer multiply")
 	nextLat := flag.Int("next-latency", 1, "EX cycles for Qat next/pop")
 	constRegs := flag.Bool("const-regs", false, "Section 5 constant-register Qat variant")
-	backendName := flag.String("backend", "", "Qat register file: dense (default), re (run-encoded, functional mode; allows -ways up to 24), or auto (planner picks from the static profile)")
+	backendName := flag.String("backend", "", "Qat register file, in either mode: dense (default), re (run-encoded; allows -ways up to 24), or auto (planner picks from the static profile)")
 	chunkWays := flag.Int("chunk-ways", 0, "re backend: symbol chunk width (default min(ways,16))")
 	spillRuns := flag.Int("spill-runs", 0, "re backend: dense-spill run budget (default 64, negative disables)")
 	stats := flag.Bool("stats", false, "print execution statistics")
@@ -101,18 +101,33 @@ func main() {
 		}
 	}
 
-	if *pipe {
-		if *backendName != "" && *backendName != qat.BackendDense {
-			fatal(fmt.Errorf("the pipelined model supports only the dense backend (got -backend %s)", *backendName))
+	qcfg := qat.Config{
+		Ways:         *ways,
+		ConstantRegs: *constRegs,
+		Backend:      *backendName,
+		ChunkWays:    *chunkWays,
+		SpillRuns:    *spillRuns,
+	}
+	if qcfg.Backend == backend.Auto {
+		if *chunkWays != 0 || *spillRuns != 0 {
+			fatal(fmt.Errorf("-chunk-ways/-spill-runs are chosen by the planner under -backend auto"))
 		}
+		plan, err := backend.PlanAuto(prog, qcfg, nil)
+		if err != nil {
+			fatal(err)
+		}
+		qcfg = plan.Config
+		fmt.Fprintf(os.Stderr, "tangled-run: auto backend: %s (degree bound %d, compressibility %.2f)\n",
+			qcfg.Backend, plan.Profile.DegreeBound, plan.Profile.Compressibility)
+	}
+	if *pipe {
 		cfg := pipeline.Config{
+			Config:              qcfg,
 			Stages:              *stages,
-			Ways:                *ways,
 			Forwarding:          !*noFwd,
 			TwoWordFetchPenalty: *narrow,
 			MulLatency:          *mulLat,
 			QatNextLatency:      *nextLat,
-			ConstantRegs:        *constRegs,
 		}
 		p, err := pipeline.New(cfg)
 		if err != nil {
@@ -151,29 +166,11 @@ func main() {
 		return
 	}
 
-	qcfg := qat.Config{
-		Ways:         *ways,
-		ConstantRegs: *constRegs,
-		Backend:      *backendName,
-		ChunkWays:    *chunkWays,
-		SpillRuns:    *spillRuns,
-	}
-	if qcfg.Backend == backend.Auto {
-		if *chunkWays != 0 || *spillRuns != 0 {
-			fatal(fmt.Errorf("-chunk-ways/-spill-runs are chosen by the planner under -backend auto"))
-		}
-		plan, err := backend.PlanAuto(prog, qcfg, nil)
-		if err != nil {
-			fatal(err)
-		}
-		qcfg = plan.Config
-		fmt.Fprintf(os.Stderr, "tangled-run: auto backend: %s (degree bound %d, compressibility %.2f)\n",
-			qcfg.Backend, plan.Profile.DegreeBound, plan.Profile.Compressibility)
-	}
-	m, err := cpu.NewFromConfig(qcfg)
+	q, err := backend.New(qcfg)
 	if err != nil {
 		fatal(err)
 	}
+	m := cpu.NewWith(q)
 	m.Out = os.Stdout
 	m.Enc = enc
 	if *itrace {

@@ -13,6 +13,7 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/cpu"
 	"tangled/internal/pipeline"
+	"tangled/internal/qat"
 )
 
 // runBoth executes src on the functional machine and on every pipeline
@@ -26,7 +27,7 @@ func runBoth(t *testing.T, src string, ways int) (*cpu.Machine, string) {
 		t.Fatalf("functional: %v", err)
 	}
 	for _, stages := range []int{4, 5} {
-		cfg := pipeline.Config{Stages: stages, Ways: ways, Forwarding: true,
+		cfg := pipeline.Config{Config: qat.Config{Ways: ways}, Stages: stages, Forwarding: true,
 			MulLatency: 1, QatNextLatency: 1}
 		var pout bytes.Buffer
 		p, err := pipeline.RunProgram(src, cfg, 100_000_000, &pout)
@@ -304,7 +305,7 @@ func TestIntegrationMultiCycleVsPipelineSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.Config{Stages: 5, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	cfg := pipeline.Config{Config: qat.Config{Ways: 4}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	p, err := pipeline.RunProgram(src, cfg, 10_000_000, nil)
 	if err != nil {
 		t.Fatal(err)

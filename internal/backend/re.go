@@ -1,8 +1,9 @@
 package backend
 
 // The RE driver: run-length-compressed register file, entanglement up to
-// qat.MaxREWays. Canonical geometry mirrors qat.NewFromConfig's defaults so
-// every spelling of the defaults shares pool and memo identity.
+// qat.MaxREWays. Its canonical geometry is the only place the RE defaults
+// are applied, so every spelling of the defaults shares pool and memo
+// identity.
 
 import (
 	"fmt"

@@ -27,8 +27,7 @@ type batchItem struct {
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq server.BatchRequest
-	if err := co.decodeBody(w, r, &breq); err != nil {
-		co.writeError(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if !server.DecodeBody(w, r, co.cfg.MaxBodyBytes, &breq) {
 		return
 	}
 	if len(breq.Programs) == 0 {

@@ -573,3 +573,32 @@ func TestRouteKeyStability(t *testing.T) {
 		t.Fatal("invalid request must fall back to unkeyed routing")
 	}
 }
+
+// TestCoordinatorDecodesLikeWorker: the coordinator refuses request bodies
+// with the worker's own decoder, so an oversized body is a 413 and JSON
+// followed by trailing data a 400 on every endpoint of both.
+func TestCoordinatorDecodesLikeWorker(t *testing.T) {
+	const limit = 64
+	_, worker := startWorker(t, server.Config{MaxBodyBytes: limit})
+	_, coord := startCoordinator(t, Config{Nodes: []string{worker}, MaxBodyBytes: limit})
+	oversized := `{"src":"` + strings.Repeat("x", 2*limit) + `"}`
+	valid := map[string]string{
+		"/v1/run":      `{"src":"sys"}`,
+		"/v1/batch":    `{"programs":[{"src":"sys"}]}`,
+		"/v1/assemble": `{"src":"sys"}`,
+	}
+	for _, base := range []string{worker, coord} {
+		for path, body := range valid {
+			for body, want := range map[string]int{oversized: http.StatusRequestEntityTooLarge, body + ` {}`: http.StatusBadRequest} {
+				resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Errorf("%s%s with %.20q...: status %d, want %d", base, path, body, resp.StatusCode, want)
+				}
+			}
+		}
+	}
+}

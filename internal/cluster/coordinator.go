@@ -420,17 +420,9 @@ func (co *Coordinator) methodOnly(method string, h http.HandlerFunc) http.Handle
 	}
 }
 
-func (co *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	body := http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req server.RunRequest
-	if err := co.decodeBody(w, r, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if !server.DecodeBody(w, r, co.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	// Mint the idempotency key here, before the first forward, so a
@@ -638,8 +630,7 @@ func intersect(a, b []string) []string {
 
 func (co *Coordinator) handleAssemble(w http.ResponseWriter, r *http.Request) {
 	var req server.AssembleRequest
-	if err := co.decodeBody(w, r, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if !server.DecodeBody(w, r, co.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	tried := make(map[*node]bool)

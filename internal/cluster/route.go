@@ -4,23 +4,16 @@ package cluster
 // key the worker will compute, so a repeated program consistently lands on
 // the node whose cache already holds the entry. The derivation is the
 // worker's own — RunRequest.Validate, RunRequest.FarmJob and farm.ExecKey —
-// with one deliberate divergence: a backend:"auto" request is keyed under a
-// router-only pseudo-backend instead of being planned here. Planning needs
-// the per-node profile and memo probe; the router only needs *stability*
-// (same request → same node), and the chosen node's own planner then
-// resolves and memoizes it.
+// with one deliberate divergence: a backend:"auto" request is not planned
+// here, and farm.ExecKey keys it under the auto name itself. Planning
+// needs the per-node profile and memo probe; the router only needs
+// *stability* (same request → same node), and the chosen node's own
+// planner then resolves and memoizes it.
 
 import (
-	"tangled/internal/backend"
 	"tangled/internal/farm"
 	"tangled/internal/server"
 )
-
-// routeAutoBackend marks backend:"auto" route keys. Worker memo keys only
-// ever use 0 (dense) and 1 (run-encoded), so the marker cannot collide
-// with a real entry's key — it exists purely to give auto requests their
-// own stable ring position.
-const routeAutoBackend = 0xFF
 
 // RouteKey derives the consistent-hash coordinate for one run request.
 // ok=false means the request has no stable execution identity here — it
@@ -38,9 +31,5 @@ func RouteKey(req *server.RunRequest) (uint64, bool) {
 	// -max-steps may key under a different budget than we route on; that
 	// costs locality for over-budget requests, never correctness.
 	job := req.FarmJob(req.ID, prog, 0)
-	ek := farm.ExecKey(&job, prog, job.MaxSteps)
-	if job.Backend == backend.Auto {
-		ek.Backend = routeAutoBackend
-	}
-	return ek.Sum().Uint64(), true
+	return farm.ExecKey(&job, prog, job.MaxSteps).Sum().Uint64(), true
 }

@@ -23,8 +23,13 @@ func TestRouteKeyIsWorkerMemoKey(t *testing.T) {
 	groups := [][]server.RunRequest{
 		{{Ways: 0}, {Ways: 16}, {Backend: "dense"}, {Backend: "dense", Ways: 16}},
 		{{Backend: "re"}, {Backend: "re", Ways: 16, ChunkWays: 16, SpillRuns: qat.DefaultSpillRuns}},
-		{{Mode: "pipelined"}, {Mode: "pipelined", Stages: 5}},
+		{{Mode: "pipelined"}, {Mode: "pipelined", Stages: 5}, {Mode: "pipelined", Ways: 0},
+			{Mode: "pipelined", Ways: 16}, {Mode: "pipelined", Backend: "dense", Ways: 16}},
 		{{Mode: "pipelined", Stages: 4}},
+		{{Mode: "pipelined", Backend: "re"}, {Mode: "pipelined", Backend: "re", Ways: 16,
+			ChunkWays: 16, SpillRuns: qat.DefaultSpillRuns}},
+		{{Mode: "pipelined", Backend: "re", Ways: 20}, {Mode: "pipelined", Backend: "re", Ways: 20,
+			ChunkWays: 16, SpillRuns: -1}},
 	}
 	for i := 0; i < farmtest.Programs; i++ {
 		src := farmtest.Generate(farmtest.Seed(i))

@@ -88,25 +88,16 @@ type Machine struct {
 
 // New builds a machine whose Qat coprocessor has the given entanglement
 // degree (16 for the paper's design, 8 for the student versions).
-func New(ways int) *Machine {
-	return &Machine{Mem: make([]uint16, MemWords), Qat: qat.New(ways)}
-}
+func New(ways int) *Machine { return NewWith(qat.New(ways)) }
 
 // NewWithConstants builds a machine whose Qat uses the Section 5
 // constant-register convention instead of zero/one/had instructions.
-func NewWithConstants(ways int) *Machine {
-	return &Machine{Mem: make([]uint16, MemWords), Qat: qat.NewWithConstants(ways)}
-}
+func NewWithConstants(ways int) *Machine { return NewWith(qat.NewWithConstants(ways)) }
 
-// NewFromConfig builds a machine whose Qat coprocessor is selected by cfg —
-// the constructor that reaches the RE compressed backend (and, through it,
-// entanglement beyond the dense 16-way limit).
-func NewFromConfig(cfg qat.Config) (*Machine, error) {
-	q, err := qat.NewFromConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{Mem: make([]uint16, MemWords), Qat: q}, nil
+// NewWith builds a machine around q — how a register file built by package
+// backend (dense or RE, at any canonical geometry) reaches the host.
+func NewWith(q *qat.Coprocessor) *Machine {
+	return &Machine{Mem: make([]uint16, MemWords), Qat: q}
 }
 
 // Load installs an assembled program image at address 0 and resets the

@@ -19,37 +19,31 @@ import (
 
 // resolveAuto resolves the backend.Auto pseudo-backend in place on j,
 // returning the static profile that drove the decision (nil when j did not
-// ask for auto). Pipelined jobs resolve to dense — the pipeline models the
-// paper's dense hardware, so auto has exactly one answer there. The
-// planner may fail with backend.UnservableError when the requested width
-// exceeds every backend; the profile rides on that error.
+// ask for auto). Pipelined and functional jobs plan alike: the planner
+// picks the register file, and the pipeline's timing is the same on every
+// one. The planner may fail with backend.UnservableError when the
+// requested width exceeds every backend; the profile rides on that error.
 func (e *Engine) resolveAuto(j *Job, prog *asm.Program, maxSteps uint64, o *Obs) (*lint.Profile, error) {
-	if j.Backend != backend.Auto {
-		return nil, nil
-	}
-	if j.Mode == Pipelined {
-		j.Backend = qat.BackendDense
+	cfg := j.machineConfig()
+	if cfg.Backend != backend.Auto {
 		return nil, nil
 	}
 	var probe func(qat.Config) bool
 	if cache := e.jobCache(j, o); cache != nil {
-		probe = func(cfg qat.Config) bool {
+		probe = func(c qat.Config) bool {
 			t := *j
-			t.Ways, t.ConstantRegs = cfg.Ways, cfg.ConstantRegs
-			t.Backend, t.REChunkWays, t.RESpillRuns = cfg.Backend, cfg.ChunkWays, cfg.SpillRuns
+			t.setQat(c)
 			_, ok := cache.Get(ExecKey(&t, prog, maxSteps).Sum())
 			return ok
 		}
 	}
 	plan, err := backend.PlanAuto(prog,
-		qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs, Backend: backend.Auto}, probe)
+		qat.Config{Ways: cfg.Ways, ConstantRegs: cfg.ConstantRegs, Backend: backend.Auto}, probe)
 	if err != nil {
 		return nil, err
 	}
 	// The plan is canonical; width is untouched by design (the planner only
 	// picks the file the requested width runs on).
-	j.Backend = plan.Config.Backend
-	j.REChunkWays = plan.Config.ChunkWays
-	j.RESpillRuns = plan.Config.SpillRuns
+	j.setQat(plan.Config)
 	return plan.Profile, nil
 }

@@ -16,6 +16,7 @@ import (
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/memo"
+	"tangled/internal/pipeline"
 	"tangled/internal/qat"
 )
 
@@ -208,14 +209,52 @@ func TestAutoUnservable(t *testing.T) {
 	}
 }
 
-// TestAutoPipelinedResolvesDense: the pipeline models dense hardware, so
-// auto has exactly one answer there and must not be rejected.
+// TestAutoPipelinedResolvesDense: a pipelined auto job plans like a
+// functional one, so a small program at the default width resolves to
+// dense and reports it.
 func TestAutoPipelinedResolvesDense(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	cfg.Backend = backend.Auto
 	engine := farm.New(0)
 	results, _ := engine.Run(nil, []farm.Job{
-		{Src: "\tlex $0, 0\n\tsys\n", Mode: farm.Pipelined, Backend: backend.Auto},
+		{Src: "\tlex $0, 0\n\tsys\n", Mode: farm.Pipelined, Pipeline: cfg},
 	})
-	if results[0].Err != nil {
-		t.Fatalf("pipelined auto: %v", results[0].Err)
+	if results[0].Err != nil || results[0].Backend != qat.BackendDense {
+		t.Fatalf("pipelined auto: backend %q, err %v", results[0].Backend, results[0].Err)
+	}
+}
+
+// TestAutoPipelinedPlansLikeFunctional: past the dense wall a pipelined
+// auto job resolves to RE, exactly as a functional one does, and runs like
+// its explicit pipelined RE spelling.
+func TestAutoPipelinedPlansLikeFunctional(t *testing.T) {
+	const ways = 20
+	prog, err := asm.Assemble(wideEntangleSrc(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, re := pipeline.DefaultConfig(), pipeline.DefaultConfig()
+	auto.Ways, auto.Backend = ways, backend.Auto
+	re.Ways, re.Backend = ways, qat.BackendRE
+	engine := farm.New(0)
+	results, _ := engine.Run(nil, []farm.Job{
+		{Name: "pipelined-auto", Prog: prog, Mode: farm.Pipelined, Pipeline: auto},
+		{Name: "pipelined-re", Prog: prog, Mode: farm.Pipelined, Pipeline: re},
+		{Name: "functional-auto", Prog: prog, Ways: ways, Backend: backend.Auto},
+	})
+	for _, res := range results {
+		if res.Err != nil || res.Backend != qat.BackendRE {
+			t.Fatalf("%s: backend %q, err %v", res.Name, res.Backend, res.Err)
+		}
+		if res.Regs != results[1].Regs || res.Insts != results[1].Insts {
+			t.Fatalf("%s: regs %v insts %d, pipelined re regs %v insts %d",
+				res.Name, res.Regs, res.Insts, results[1].Regs, results[1].Insts)
+		}
+	}
+	if results[0].Profile == nil || results[2].Profile == nil {
+		t.Fatal("auto jobs report no planner profile")
+	}
+	if *results[0].Pipe != *results[1].Pipe {
+		t.Fatalf("pipelined auto stats %+v != pipelined re %+v", *results[0].Pipe, *results[1].Pipe)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/isa"
 	"tangled/internal/pipeline"
+	"tangled/internal/qat"
 )
 
 const (
@@ -97,8 +98,8 @@ func runPipe(t *testing.T, prog *asm.Program, cfg pipeline.Config) snapshot {
 // pipeConfigs returns the two pipeline organizations for corpus index i,
 // varying the timing knobs (which must never change semantics) with i.
 func pipeConfigs(i int) (p4, p5 pipeline.Config) {
-	p4 = pipeline.Config{Stages: 4, Ways: diffWays, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
-	p5 = pipeline.Config{Stages: 5, Ways: diffWays, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	p4 = pipeline.Config{Config: qat.Config{Ways: diffWays}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	p5 = pipeline.Config{Config: qat.Config{Ways: diffWays}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	if i%2 == 0 {
 		p4.TwoWordFetchPenalty = true
 	}

@@ -53,8 +53,8 @@ const (
 	Pipelined
 )
 
-// DefaultMaxSteps bounds job execution when Job.MaxSteps is zero. It matches
-// the toolchain facade's budget (qasm.MaxSteps).
+// DefaultMaxSteps bounds job execution when Job.MaxSteps is zero. The
+// toolchain facade's budget (qasm.MaxSteps) is defined from it.
 const DefaultMaxSteps = 50_000_000
 
 // ErrNoProgram is reported by jobs that carry neither source nor an
@@ -76,19 +76,21 @@ type Job struct {
 	// Mode picks the machine model; the zero value is Functional.
 	Mode Mode
 
-	// Ways is the Qat entanglement degree for Functional jobs; 0 means the
-	// paper's full 16-way hardware. Ignored by Pipelined jobs, whose
-	// Pipeline config carries its own Ways. The RE backend accepts up to
-	// qat.MaxREWays; the dense backend up to aob.MaxWays.
+	// Ways, ConstantRegs, Backend, REChunkWays and RESpillRuns spell the
+	// Qat register file of Functional jobs. Pipelined jobs ignore them and
+	// spell theirs in Pipeline (its embedded qat.Config); both spellings
+	// are canonicalized by package backend alike.
+	//
+	// Ways is the Qat entanglement degree; 0 means the paper's full 16-way
+	// hardware. The RE backend accepts up to qat.MaxREWays; the dense
+	// backend up to aob.MaxWays.
 	Ways int
-	// ConstantRegs selects the Section 5 constant-register Qat variant for
-	// Functional jobs. Ignored by Pipelined jobs (see pipeline.Config).
+	// ConstantRegs selects the Section 5 constant-register Qat variant.
 	ConstantRegs bool
-	// Backend selects the Qat register file for Functional jobs: "" or
-	// qat.BackendDense for the AoB file, qat.BackendRE for the compressed
-	// one (docs/BACKENDS.md), or backend.Auto to let the static planner
-	// pick from the program's profile (Result.Backend reports the choice).
-	// Pipelined jobs reject a non-dense backend; auto resolves to dense.
+	// Backend selects the Qat register file: "" or qat.BackendDense for
+	// the AoB file, qat.BackendRE for the compressed one
+	// (docs/BACKENDS.md), or backend.Auto to let the static planner pick
+	// from the program's profile (Result.Backend reports the choice).
 	Backend string
 	// REChunkWays is the RE backend's symbol size; 0 means the default
 	// (min(Ways, aob.MaxWays)). Ignored by the dense backend.
@@ -97,8 +99,8 @@ type Job struct {
 	// qat.DefaultSpillRuns, negative disables spilling. Ignored by the
 	// dense backend.
 	RESpillRuns int
-	// Pipeline configures Pipelined jobs; the zero value means
-	// pipeline.DefaultConfig().
+	// Pipeline configures Pipelined jobs, register file included; the zero
+	// value means pipeline.DefaultConfig().
 	Pipeline pipeline.Config
 
 	// MaxSteps bounds instructions (Functional) or cycles (Pipelined);
@@ -161,9 +163,9 @@ type Result struct {
 	// this job.
 	Cached bool
 
-	// Backend is the canonical register-file backend that served a
-	// Functional job ("dense"/"re"), after any auto-planning; empty for
-	// Pipelined jobs and for jobs whose configuration failed validation.
+	// Backend is the canonical register-file backend that served the job
+	// ("dense"/"re"), after any auto-planning; empty for jobs whose
+	// configuration failed validation.
 	Backend string
 	// Profile is the static profile the auto-planner derived when the job
 	// requested backend.Auto; nil otherwise.
@@ -357,7 +359,10 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		return res
 	}
 	res.Profile = prof
-	res.Backend = j.servedBackend()
+	cfg, cfgErr := j.canonicalConfig()
+	if cfgErr == nil {
+		res.Backend = cfg.Backend
+	}
 	if j.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, j.Timeout)
@@ -369,10 +374,13 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		defer cancel()
 	}
 	exec := func() {
-		if j.Mode == Pipelined {
-			e.runPipelined(ctx, j, prog, maxSteps, &res, bc, o)
-		} else {
-			e.runFunctional(ctx, j, prog, maxSteps, &res, bc, o)
+		switch {
+		case cfgErr != nil:
+			res.Err = cfgErr
+		case j.Mode == Pipelined:
+			e.runPipelined(ctx, j, cfg, prog, maxSteps, &res, bc, o)
+		default:
+			e.runFunctional(ctx, j, cfg, prog, maxSteps, &res, bc, o)
 		}
 	}
 	cache := e.jobCache(j, o)
@@ -421,24 +429,21 @@ func joinContext(batch, job context.Context) (context.Context, context.CancelFun
 	return ctx, func() { stop(); cancel() }
 }
 
-func (e *Engine) runFunctional(ctx context.Context, j *Job, prog *asm.Program, maxSteps uint64, res *Result, bc *batchCounters, o *Obs) {
-	cfg, err := j.qatConfig()
-	if err != nil {
-		res.Err = err
-		return
-	}
-	pool := e.pool(poolKey{ways: cfg.Ways, constRegs: cfg.ConstantRegs,
-		backend: cfg.Backend, chunkWays: cfg.ChunkWays, spillRuns: cfg.SpillRuns})
+// runFunctional runs j on a functional machine for cfg, its canonical
+// config.
+func (e *Engine) runFunctional(ctx context.Context, j *Job, cfg pipeline.Config, prog *asm.Program, maxSteps uint64, res *Result, bc *batchCounters, o *Obs) {
+	pool := e.pool(poolKey{cfg: cfg})
 	var m *cpu.Machine
 	if v := pool.get(bc); v != nil {
 		m = v.(*cpu.Machine)
 	} else {
-		m, err = cpu.NewFromConfig(cfg)
+		q, err := backend.New(cfg.Config)
 		if err != nil {
 			bc.unalloc() // nothing was constructed; the miss never became a machine
 			res.Err = err
 			return
 		}
+		m = cpu.NewWith(q)
 	}
 	defer func() {
 		// Detach every host-side attachment and restore default hardware
@@ -446,7 +451,8 @@ func (e *Engine) runFunctional(ctx context.Context, j *Job, prog *asm.Program, m
 		// may have planted a trace hook, an energy meter, an alternate
 		// encoding, or the LUT reciprocal datapath, and none of those may
 		// follow the machine to its next, unrelated tenant. (The pool key
-		// guarantees only ways/constRegs; everything else must be default.)
+		// guarantees only the register file; everything else must be
+		// default.)
 		m.Out = nil
 		m.Trace = nil
 		m.Enc = nil
@@ -465,7 +471,7 @@ func (e *Engine) runFunctional(ctx context.Context, j *Job, prog *asm.Program, m
 		res.Err = err
 		return
 	}
-	err = m.RunContext(ctx, maxSteps)
+	err := m.RunContext(ctx, maxSteps)
 	res.Regs = m.Regs
 	res.Output = out.String()
 	res.Insts = m.Stats.Insts
@@ -475,44 +481,66 @@ func (e *Engine) runFunctional(ctx context.Context, j *Job, prog *asm.Program, m
 	}
 }
 
-// qatConfig resolves a Functional job's machine configuration into canonical
-// form through the backend registry — defaults made explicit, invalid
-// geometry rejected — so equivalent spellings share pool and memo identity.
-// The Auto pseudo-backend must already be resolved (resolveAuto); seeing it
-// here is a sequencing bug, reported rather than guessed around (the
-// uncanonicalized config still comes back, for ExecKey).
-func (j *Job) qatConfig() (qat.Config, error) {
-	cfg := qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs,
-		Backend: j.Backend, ChunkWays: j.REChunkWays, SpillRuns: j.RESpillRuns}
-	if j.Backend == backend.Auto {
+// machineConfig is the machine j spells, in one shape for both modes:
+// Pipeline for Pipelined jobs (its zero value meaning
+// pipeline.DefaultConfig()), and for Functional jobs the top-level
+// register-file fields with zero timing. It is the one reader of those
+// fields, and setQat the one writer.
+func (j *Job) machineConfig() pipeline.Config {
+	if j.Mode == Pipelined {
+		if j.Pipeline == (pipeline.Config{}) {
+			return pipeline.DefaultConfig()
+		}
+		return j.Pipeline
+	}
+	return pipeline.Config{Config: qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs,
+		Backend: j.Backend, ChunkWays: j.REChunkWays, SpillRuns: j.RESpillRuns}}
+}
+
+// setQat replaces j's register file with cfg, where machineConfig reads it.
+func (j *Job) setQat(cfg qat.Config) {
+	if j.Mode == Pipelined {
+		j.Pipeline = j.machineConfig()
+		j.Pipeline.Config = cfg
+		return
+	}
+	j.Ways, j.ConstantRegs = cfg.Ways, cfg.ConstantRegs
+	j.Backend, j.REChunkWays, j.RESpillRuns = cfg.Backend, cfg.ChunkWays, cfg.SpillRuns
+}
+
+// canonicalConfig is j's machine with its register file canonicalized
+// through the backend registry — defaults made explicit, invalid geometry
+// rejected — so equivalent spellings share pool and memo identity in
+// either mode. The Auto pseudo-backend must already be resolved
+// (resolveAuto); seeing it here is a sequencing bug, reported rather than
+// guessed around. On error the spelled config still comes back, for
+// ExecKey.
+func (j *Job) canonicalConfig() (pipeline.Config, error) {
+	cfg := j.machineConfig()
+	if cfg.Backend == backend.Auto {
 		return cfg, fmt.Errorf("farm: backend %q not resolved before execution", backend.Auto)
 	}
-	return backend.Canonicalize(cfg)
+	q, err := backend.Canonicalize(cfg.Config)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Config = q
+	return cfg, nil
 }
 
 // servedBackend is the canonical backend Result.Backend reports: empty for
-// Pipelined jobs and for configurations that fail validation.
+// configurations that fail validation.
 func (j *Job) servedBackend() string {
-	if j.Mode == Pipelined {
-		return ""
-	}
-	cfg, err := j.qatConfig()
+	cfg, err := j.canonicalConfig()
 	if err != nil {
 		return ""
 	}
 	return cfg.Backend
 }
 
-func (e *Engine) runPipelined(ctx context.Context, j *Job, prog *asm.Program, maxCycles uint64, res *Result, bc *batchCounters, o *Obs) {
-	if j.Backend != "" && j.Backend != qat.BackendDense {
-		res.Err = fmt.Errorf("farm: pipelined jobs support only the dense backend (got %q)", j.Backend)
-		return
-	}
-	cfg := j.Pipeline
-	if cfg == (pipeline.Config{}) {
-		cfg = pipeline.DefaultConfig()
-	}
-	pool := e.pool(poolKey{pipelined: true, pcfg: cfg})
+// runPipelined runs j on a pipeline for cfg, its canonical config.
+func (e *Engine) runPipelined(ctx context.Context, j *Job, cfg pipeline.Config, prog *asm.Program, maxCycles uint64, res *Result, bc *batchCounters, o *Obs) {
+	pool := e.pool(poolKey{pipelined: true, cfg: cfg})
 	var p *pipeline.Pipeline
 	if v := pool.get(bc); v != nil {
 		p = v.(*pipeline.Pipeline)

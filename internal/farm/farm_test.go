@@ -17,6 +17,7 @@ import (
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/obs"
 	"tangled/internal/pipeline"
+	"tangled/internal/qat"
 )
 
 // countdownSrc prints n..1 and halts; distinct n gives every job a distinct,
@@ -60,7 +61,7 @@ func TestRunOrderingAndModes(t *testing.T) {
 		}
 		jobs = append(jobs, farm.Job{
 			Name: name, Src: countdownSrc(i), Mode: mode, Ways: 4,
-			Pipeline: pipeline.Config{Stages: 4, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
+			Pipeline: pipeline.Config{Config: qat.Config{Ways: 4}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
 		})
 	}
 	results, stats := farm.New(4).Run(context.Background(), jobs)
@@ -145,7 +146,7 @@ func TestTimeoutAndBudget(t *testing.T) {
 		{Name: "deadline", Src: spinSrc, Mode: farm.Functional, Ways: 4, Timeout: 20 * time.Millisecond},
 		{Name: "budget", Src: spinSrc, Mode: farm.Functional, Ways: 4, MaxSteps: 10_000},
 		{Name: "budget-pipe", Src: spinSrc, Mode: farm.Pipelined,
-			Pipeline: pipeline.Config{Stages: 5, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
+			Pipeline: pipeline.Config{Config: qat.Config{Ways: 4}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
 			MaxSteps: 10_000},
 		{Name: "after", Src: countdownSrc(3), Mode: farm.Functional, Ways: 4},
 	}
@@ -284,7 +285,7 @@ func TestBackToBackProgramsOnPooledMachine(t *testing.T) {
 	}
 	// Same probe on both pipeline organizations, after a dirty pipelined run.
 	for _, stages := range []int{4, 5} {
-		cfg := pipeline.Config{Stages: stages, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+		cfg := pipeline.Config{Config: qat.Config{Ways: 4}, Stages: stages, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 		jobs := []farm.Job{
 			{Name: "dirty", Src: progA, Mode: farm.Pipelined, Pipeline: cfg},
 			{Name: "probe", Src: progB, Mode: farm.Pipelined, Pipeline: cfg},
@@ -307,9 +308,9 @@ func TestJobErrors(t *testing.T) {
 		{Name: "badasm", Src: "frobnicate $1,$2\n"},
 		{Name: "badways", Src: countdownSrc(1), Ways: 99},
 		{Name: "badcfg", Src: countdownSrc(1), Mode: farm.Pipelined,
-			Pipeline: pipeline.Config{Stages: 7, Ways: 4, MulLatency: 1, QatNextLatency: 1}},
+			Pipeline: pipeline.Config{Config: qat.Config{Ways: 4}, Stages: 7, MulLatency: 1, QatNextLatency: 1}},
 		{Name: "badpipeways", Src: countdownSrc(1), Mode: farm.Pipelined,
-			Pipeline: pipeline.Config{Stages: 5, Ways: 99, MulLatency: 1, QatNextLatency: 1}},
+			Pipeline: pipeline.Config{Config: qat.Config{Ways: 99}, Stages: 5, MulLatency: 1, QatNextLatency: 1}},
 		{Name: "good", Src: countdownSrc(2), Ways: 4},
 	}
 	results, stats := farm.New(2).Run(context.Background(), jobs)

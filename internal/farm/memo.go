@@ -18,7 +18,6 @@ package farm
 import (
 	"tangled/internal/asm"
 	"tangled/internal/memo"
-	"tangled/internal/pipeline"
 )
 
 // SetMemo attaches (or with nil detaches) the engine-wide execution cache.
@@ -44,27 +43,18 @@ func (e *Engine) jobCache(j *Job, o *Obs) *memo.Cache {
 }
 
 // ExecKey describes j's execution for memo keying, over its resolved
-// program and step budget. It normalizes defaults (ways 0, backend "",
-// chunk/spill zeros, the zero pipeline config) so equivalent spellings hash
-// identically; invalid configs still key consistently, and the execution
-// path reports their error. It is the one keying function: the engine keys
-// every job through it, and the cluster router keys requests through it so
-// a route key is the worker's memo key. An unresolved backend.Auto job keys
-// like a dense run at its requested width — the engine never keys one (it
-// resolves first), and the router tags it with its own marker.
+// program and step budget. It keys the canonical machine config
+// (Job.canonicalConfig), so equivalent spellings in either mode hash
+// identically; invalid configs still key consistently on their spelling,
+// and the execution path reports their error. It is the one keying
+// function: the engine keys every job through it, and the cluster router
+// keys requests through it so a route key is the worker's memo key. An
+// unresolved backend.Auto job keys under the auto name itself, apart from
+// every executable identity — the engine never keys one (it resolves
+// first); the router uses it as a stable ring position.
 func ExecKey(j *Job, prog *asm.Program, maxSteps uint64) memo.ExecKey {
-	ek := memo.ExecKey{MaxSteps: maxSteps, Words: prog.Words}
-	if j.Mode == Pipelined {
-		ek.Pipelined = true
-		ek.Pipeline = j.Pipeline
-		if ek.Pipeline == (pipeline.Config{}) {
-			ek.Pipeline = pipeline.DefaultConfig()
-		}
-		return ek
-	}
-	cfg, _ := j.qatConfig()
-	ek.SetQat(cfg)
-	return ek
+	cfg, _ := j.canonicalConfig()
+	return memo.ExecKey{Pipelined: j.Mode == Pipelined, Machine: cfg, MaxSteps: maxSteps, Words: prog.Words}
 }
 
 // keyFor resolves j's identity through the prelude (storing the assembled

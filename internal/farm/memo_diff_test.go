@@ -18,6 +18,8 @@ import (
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/memo"
+	"tangled/internal/pipeline"
+	"tangled/internal/qat"
 )
 
 // sameResult compares the deterministic slice of two farm results.
@@ -177,5 +179,34 @@ func TestMemoBypass(t *testing.T) {
 	}
 	if inspected.Load() != 1 {
 		t.Fatalf("inspect ran %d times, want 1", inspected.Load())
+	}
+}
+
+// TestWaysZeroIsFullHardware: Ways 0 means the 16-way hardware in both
+// modes, so a program using had 5 runs at ways 0 functional and pipelined
+// alike, and each mode's ways-0 spelling shares the memo key of its
+// ways-16 spelling.
+func TestWaysZeroIsFullHardware(t *testing.T) {
+	const src = "\thad\t@3, 5\n\tlex\t$1, 0\n\tnext\t$1, @3\n\tlex\t$0, 0\n\tsys\n"
+	p0, p16 := pipeline.DefaultConfig(), pipeline.DefaultConfig()
+	p0.Ways = 0
+	spellings := [][2]farm.Job{
+		{{Src: src, Ways: 0}, {Src: src, Ways: 16}},
+		{{Src: src, Mode: farm.Pipelined, Pipeline: p0}, {Src: src, Mode: farm.Pipelined, Pipeline: p16}},
+	}
+	keyed := farm.New(0)
+	keyed.SetMemo(memo.New(0))
+	for _, pair := range spellings {
+		k0, ok0 := keyed.MemoKey(&pair[0])
+		k16, ok16 := keyed.MemoKey(&pair[1])
+		if !ok0 || !ok16 || k0 != k16 {
+			t.Fatalf("mode %v: ways-0 key %x (ok=%v), ways-16 key %x (ok=%v)", pair[0].Mode, k0, ok0, k16, ok16)
+		}
+		results, _ := farm.New(0).Run(nil, pair[:])
+		for _, res := range results {
+			if res.Err != nil || res.Regs[1] != 32 || res.Backend != qat.BackendDense {
+				t.Fatalf("mode %v: $1=%d backend=%q err=%v", pair[0].Mode, res.Regs[1], res.Backend, res.Err)
+			}
+		}
 	}
 }

@@ -7,21 +7,13 @@ import (
 	"tangled/internal/pipeline"
 )
 
-// poolKey identifies a class of interchangeable machines. Functional
-// machines are interchangeable when they share the entanglement degree and
-// the constant-register convention; pipelines when they share the full
-// timing configuration (pipeline.Config is a comparable value type).
+// poolKey identifies a class of interchangeable machines: one mode over
+// one canonical machine config (the register file as backend.Canonicalize
+// leaves it, plus the pipeline timing of pipelined machines; comparable
+// value types both).
 type poolKey struct {
 	pipelined bool
-	ways      int
-	constRegs bool
-	// backend/chunkWays/spillRuns carry the canonical (post-default) Qat
-	// register-file selection of functional jobs; machines with different
-	// compressed-file geometry are not interchangeable.
-	backend   string
-	chunkWays int
-	spillRuns int
-	pcfg      pipeline.Config
+	cfg       pipeline.Config
 }
 
 // machinePool wraps sync.Pool with hit/miss accounting. sync.Pool itself

@@ -170,7 +170,8 @@ func TestQatEffectsMatchExecution(t *testing.T) {
 	const ways = 4
 	// @0..@7 hold distinct values; the samples name only @1..@3.
 	setup := func(t *testing.T, backend string, perturb int) *qat.Coprocessor {
-		q, err := qat.NewFromConfig(qat.Config{Ways: ways, Backend: backend})
+		q, err := qat.NewFromConfig(qat.Config{Ways: ways, Backend: backend,
+			ChunkWays: ways, SpillRuns: qat.DefaultSpillRuns})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,10 +270,12 @@ func FuzzInstEffects(f *testing.F) {
 		// machine builds the seeded state, flipping Tangled register pr
 		// and Qat register pq when they are not -1.
 		machine := func(pr, pq int) (*cpu.Machine, *bytes.Buffer) {
-			m, err := cpu.NewFromConfig(qat.Config{Ways: 4, Backend: backend})
+			q, err := qat.NewFromConfig(qat.Config{Ways: 4, Backend: backend,
+				ChunkWays: 4, SpillRuns: qat.DefaultSpillRuns})
 			if err != nil {
 				t.Fatal(err)
 			}
+			m := cpu.NewWith(q)
 			var out bytes.Buffer
 			m.Out = &out
 			m.Mem[0], m.Mem[1] = w0, w1

@@ -33,15 +33,15 @@ import (
 	"time"
 
 	"tangled/internal/pipeline"
-	"tangled/internal/qat"
 )
 
 // keySchema versions the key derivation. It covers everything implicit in
 // an execution that the explicit fields do not: the zero-initialized
 // machine state after Load (registers, memory, pbit/AoB register file) and
-// the result layout. Bump it whenever execution semantics or Entry change
-// meaning, and every old key misses harmlessly.
-const keySchema = "tangled-memo-v1"
+// the result layout. Bump it whenever execution semantics, Entry or the
+// serialized layout change meaning, and every old key misses harmlessly.
+// v2 keys one register-file section for both modes.
+const keySchema = "tangled-memo-v2"
 
 // DefaultCap is the entry bound used when New is given a non-positive
 // capacity.
@@ -57,28 +57,18 @@ type Key [sha256.Size]byte
 func (k Key) Uint64() uint64 { return binary.BigEndian.Uint64(k[:8]) }
 
 // ExecKey describes one deterministic execution for hashing. Callers
-// normalize defaults before hashing (farm resolves ways 0 to the full
-// hardware and an all-zero pipeline config to pipeline.DefaultConfig), so
-// two spellings of the same execution share a key.
+// canonicalize the machine before hashing (farm resolves it through
+// backend.Canonicalize and an all-zero pipeline config to
+// pipeline.DefaultConfig), so two spellings of the same execution share a
+// key.
 type ExecKey struct {
 	// Pipelined selects the cycle-accurate model; false is the functional
 	// machine.
 	Pipelined bool
-	// Ways and ConstantRegs configure the functional machine's coprocessor
-	// (zero/false for pipelined executions, whose Pipeline carries both).
-	Ways         int
-	ConstantRegs bool
-	// Pipeline is the pipelined organization (the zero value for
-	// functional executions).
-	Pipeline pipeline.Config
-	// Backend selects the functional coprocessor's register-file
-	// representation: 0 dense, 1 run-encoded. REChunkWays and RESpillRuns
-	// only apply to the run-encoded backend and must be the canonical
-	// post-default values (dense executions leave all three zero, keeping
-	// their keys byte-identical to the pre-backend schema).
-	Backend     uint8
-	REChunkWays uint8
-	RESpillRuns int32
+	// Machine is the canonical machine: its embedded qat.Config is the
+	// register file of either mode, and its timing fields are the pipelined
+	// organization (zero for functional executions).
+	Machine pipeline.Config
 	// MaxSteps is the instruction (functional) or cycle (pipelined)
 	// budget. It is part of the key because budget exhaustion is a
 	// deterministic, cacheable outcome that depends on it.
@@ -87,56 +77,39 @@ type ExecKey struct {
 	Words []uint16
 }
 
-// SetQat fills the functional coprocessor fields from cfg, which must
-// already be canonical (defaults resolved, as backend.Canonicalize leaves
-// it). Dense configs leave the run-encoded fields zero.
-func (k *ExecKey) SetQat(cfg qat.Config) {
-	k.Ways = cfg.Ways
-	k.ConstantRegs = cfg.ConstantRegs
-	if cfg.Backend == qat.BackendRE {
-		k.Backend = 1
-		k.REChunkWays = uint8(cfg.ChunkWays)
-		k.RESpillRuns = int32(cfg.SpillRuns)
-	}
-}
-
 // Sum derives the canonical SHA-256 key. Every field is serialized at a
-// fixed width in a fixed order, so the mapping is injective and
-// insensitive to struct layout.
+// fixed width in a fixed order (the backend name length-prefixed), so the
+// mapping is injective and insensitive to struct layout.
 func (k ExecKey) Sum() Key {
 	h := sha256.New()
 	io.WriteString(h, keySchema)
+	m := k.Machine
 	var flags byte
 	if k.Pipelined {
 		flags |= 1 << 0
 	}
-	if k.ConstantRegs {
+	if m.ConstantRegs {
 		flags |= 1 << 1
 	}
-	if k.Pipeline.Forwarding {
+	if m.Forwarding {
 		flags |= 1 << 2
 	}
-	if k.Pipeline.TwoWordFetchPenalty {
+	if m.TwoWordFetchPenalty {
 		flags |= 1 << 3
-	}
-	if k.Pipeline.ConstantRegs {
-		flags |= 1 << 4
 	}
 	var hdr [45]byte
 	hdr[0] = flags
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(k.Ways))
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(k.Pipeline.Stages))
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(k.Pipeline.Ways))
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(k.Pipeline.MulLatency))
-	binary.LittleEndian.PutUint32(hdr[17:], uint32(k.Pipeline.QatNextLatency))
-	binary.LittleEndian.PutUint64(hdr[21:], k.MaxSteps)
-	binary.LittleEndian.PutUint64(hdr[29:], uint64(len(k.Words)))
-	hdr[37] = k.Backend
-	hdr[38] = k.REChunkWays
-	binary.LittleEndian.PutUint32(hdr[39:], uint32(k.RESpillRuns))
-	// hdr[43:45] reserved (zero): room for future fields without reflowing
-	// the layout.
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(m.Ways))
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(m.ChunkWays))
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(m.SpillRuns))
+	binary.LittleEndian.PutUint32(hdr[13:], uint32(m.Stages))
+	binary.LittleEndian.PutUint32(hdr[17:], uint32(m.MulLatency))
+	binary.LittleEndian.PutUint32(hdr[21:], uint32(m.QatNextLatency))
+	binary.LittleEndian.PutUint64(hdr[25:], k.MaxSteps)
+	binary.LittleEndian.PutUint64(hdr[33:], uint64(len(k.Words)))
+	binary.LittleEndian.PutUint32(hdr[41:], uint32(len(m.Backend)))
 	h.Write(hdr[:])
+	io.WriteString(h, m.Backend)
 	buf := make([]byte, 2*len(k.Words))
 	for i, w := range k.Words {
 		binary.LittleEndian.PutUint16(buf[2*i:], w)

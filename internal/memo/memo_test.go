@@ -12,6 +12,7 @@ import (
 
 	"tangled/internal/obs"
 	"tangled/internal/pipeline"
+	"tangled/internal/qat"
 )
 
 // --- LRU core ---
@@ -80,7 +81,7 @@ func TestLRUCapacityPanics(t *testing.T) {
 func TestKeyDeterministic(t *testing.T) {
 	k := ExecKey{
 		Pipelined: true,
-		Pipeline:  pipeline.DefaultConfig(),
+		Machine:   pipeline.DefaultConfig(),
 		MaxSteps:  1 << 20,
 		Words:     []uint16{0x1234, 0xBEEF, 0},
 	}
@@ -98,10 +99,12 @@ func TestKeyDeterministic(t *testing.T) {
 func TestKeySensitivity(t *testing.T) {
 	base := ExecKey{
 		Pipelined: true,
-		Pipeline:  pipeline.DefaultConfig(),
+		Machine:   pipeline.DefaultConfig(),
 		MaxSteps:  1000,
 		Words:     []uint16{1, 2, 3},
 	}
+	base.Machine.Backend = qat.BackendRE
+	base.Machine.ChunkWays, base.Machine.SpillRuns = 8, qat.DefaultSpillRuns
 	seen := map[Key]string{base.Sum(): "base"}
 	variants := map[string]ExecKey{}
 
@@ -110,36 +113,44 @@ func TestKeySensitivity(t *testing.T) {
 	variants["pipelined"] = v
 
 	v = base
-	v.Ways = 4
+	v.Machine.Ways = 4
 	variants["ways"] = v
 
 	v = base
-	v.ConstantRegs = true
+	v.Machine.ConstantRegs = true
 	variants["constRegs"] = v
 
 	v = base
-	v.Pipeline.Stages = 4
+	v.Machine.Backend = qat.BackendDense
+	variants["backend"] = v
+
+	v = base
+	v.Machine.ChunkWays = 4
+	variants["chunkWays"] = v
+
+	v = base
+	v.Machine.SpillRuns = -1
+	variants["spillRuns"] = v
+
+	v = base
+	v.Machine.Stages = 4
 	variants["stages"] = v
 
 	v = base
-	v.Pipeline.Forwarding = !v.Pipeline.Forwarding
+	v.Machine.Forwarding = !v.Machine.Forwarding
 	variants["forwarding"] = v
 
 	v = base
-	v.Pipeline.MulLatency++
+	v.Machine.MulLatency++
 	variants["mulLatency"] = v
 
 	v = base
-	v.Pipeline.QatNextLatency++
+	v.Machine.QatNextLatency++
 	variants["qatNextLatency"] = v
 
 	v = base
-	v.Pipeline.TwoWordFetchPenalty = !v.Pipeline.TwoWordFetchPenalty
+	v.Machine.TwoWordFetchPenalty = !v.Machine.TwoWordFetchPenalty
 	variants["twoWordFetch"] = v
-
-	v = base
-	v.Pipeline.ConstantRegs = !v.Pipeline.ConstantRegs
-	variants["pipeConstRegs"] = v
 
 	v = base
 	v.MaxSteps++
@@ -162,15 +173,19 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestKeyCoversPipelineConfig pins the field count of pipeline.Config: if a
-// field is added there without teaching ExecKey.Sum about it, two
-// executions differing only in that field would share a key and the cache
-// would serve wrong results. Update Sum (and bump keySchema) before
-// updating this count.
+// TestKeyCoversPipelineConfig pins the field counts of pipeline.Config and
+// of the qat.Config it embeds: if a field is added to either without
+// teaching ExecKey.Sum about it, two executions differing only in that
+// field would share a key and the cache would serve wrong results. Update
+// Sum (and bump keySchema) before updating these counts.
 func TestKeyCoversPipelineConfig(t *testing.T) {
-	const covered = 7 // Stages, Ways, Forwarding, TwoWordFetchPenalty, MulLatency, QatNextLatency, ConstantRegs
+	const covered = 6 // Config (qat), Stages, Forwarding, TwoWordFetchPenalty, MulLatency, QatNextLatency
 	if n := reflect.TypeOf(pipeline.Config{}).NumField(); n != covered {
 		t.Fatalf("pipeline.Config has %d fields but ExecKey.Sum covers %d — extend the key derivation and bump keySchema", n, covered)
+	}
+	const qatCovered = 5 // Ways, ConstantRegs, Backend, ChunkWays, SpillRuns
+	if n := reflect.TypeOf(qat.Config{}).NumField(); n != qatCovered {
+		t.Fatalf("qat.Config has %d fields but ExecKey.Sum covers %d — extend the key derivation and bump keySchema", n, qatCovered)
 	}
 }
 

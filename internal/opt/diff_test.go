@@ -25,8 +25,8 @@ import (
 
 // diffBackends builds the four-backend job set for one program.
 func diffBackends(name string, prog *asm.Program) []farm.Job {
-	p4 := pipeline.Config{Stages: 4, Ways: farmtest.Ways, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
-	p5 := pipeline.Config{Stages: 5, Ways: farmtest.Ways, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	p4 := pipeline.Config{Config: qat.Config{Ways: farmtest.Ways}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	p5 := pipeline.Config{Config: qat.Config{Ways: farmtest.Ways}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	return []farm.Job{
 		{Name: name + "/functional", Prog: prog, Mode: farm.Functional, Ways: farmtest.Ways, MaxSteps: farmtest.Budget},
 		{Name: name + "/pipe4", Prog: prog, Mode: farm.Pipelined, Pipeline: p4, MaxSteps: farmtest.Budget},

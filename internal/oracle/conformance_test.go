@@ -142,7 +142,7 @@ func checkCPU(t *testing.T, inst isa.Inst, f isa.OpFacts) {
 // "inst; store $r,$r; sys" stalls iff inst writes $r.
 func checkPipelineHazards(t *testing.T, inst isa.Inst) {
 	t.Helper()
-	cfg := pipeline.Config{Stages: 4, Ways: conformanceWays, MulLatency: 1, QatNextLatency: 1}
+	cfg := pipeline.Config{Config: qat.Config{Ways: conformanceWays}, Stages: 4, MulLatency: 1, QatNextLatency: 1}
 	p, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,8 @@ func checkQatWrites(t *testing.T, inst isa.Inst, f isa.OpFacts) {
 	t.Helper()
 	for _, backend := range []string{qat.BackendDense, qat.BackendRE} {
 		for _, slot := range []isa.Slot{isa.SlotQA, isa.SlotQB, isa.SlotQC} {
-			q, err := qat.NewFromConfig(qat.Config{Ways: conformanceWays, ConstantRegs: true, Backend: backend})
+			q, err := qat.NewFromConfig(qat.Config{Ways: conformanceWays, ConstantRegs: true, Backend: backend,
+				ChunkWays: conformanceWays, SpillRuns: qat.DefaultSpillRuns})
 			if err != nil {
 				t.Fatal(err)
 			}

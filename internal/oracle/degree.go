@@ -12,7 +12,6 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/cpu"
 	"tangled/internal/isa"
-	"tangled/internal/qat"
 )
 
 // VectorDegree returns the dynamic entanglement degree of v at the given
@@ -60,10 +59,7 @@ func qatWrittenRegs(inst isa.Inst) []uint8 {
 // run returns) — the pending-instruction pattern.
 func MaxEntanglementDegree(prog *asm.Program, ways int, maxSteps uint64) ([isa.NumQRegs]int, error) {
 	var max [isa.NumQRegs]int
-	m, err := cpu.NewFromConfig(qat.Config{Ways: ways})
-	if err != nil {
-		return max, err
-	}
+	m := cpu.New(ways)
 	if err := m.Load(prog); err != nil {
 		return max, err
 	}

@@ -18,11 +18,11 @@ func backendSet(t *testing.T, ways int) []Backend {
 		NewRef(ways, testRegs),
 		NewDense(ways, testRegs),
 	}
-	qd, err := NewQat(qat.Config{Ways: ways}, testRegs)
+	qd, err := NewQat(qat.Config{Ways: ways, Backend: qat.BackendDense}, testRegs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qr, err := NewQat(qat.Config{Ways: ways, Backend: qat.BackendRE, ChunkWays: ways / 2}, testRegs)
+	qr, err := NewQat(qat.Config{Ways: ways, Backend: qat.BackendRE, ChunkWays: ways / 2, SpillRuns: -1}, testRegs)
 	if err != nil {
 		t.Fatal(err)
 	}

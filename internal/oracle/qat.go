@@ -19,8 +19,11 @@ type QatBackend struct {
 	numRegs int
 }
 
-// NewQat wraps a coprocessor built from cfg. numRegs bounds the registers
-// the op sequences touch (at most isa.NumQRegs).
+// NewQat wraps a coprocessor built from cfg, which spells its geometry
+// explicitly: qat.NewFromConfig takes it literally, and the defaults belong
+// to package backend, which oracle cannot import (backend's profile
+// dependency tests its soundness against this package). numRegs bounds the
+// registers the op sequences touch (at most isa.NumQRegs).
 func NewQat(cfg qat.Config, numRegs int) (*QatBackend, error) {
 	q, err := qat.NewFromConfig(cfg)
 	if err != nil {

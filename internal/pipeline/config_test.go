@@ -12,10 +12,11 @@ import (
 
 	"tangled/internal/aob"
 	"tangled/internal/asm"
+	"tangled/internal/qat"
 )
 
 func TestConfigValidate(t *testing.T) {
-	base := Config{Stages: 5, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	base := Config{Config: qat.Config{Ways: 8}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	cases := []struct {
 		name    string
 		mutate  func(*Config)
@@ -34,6 +35,9 @@ func TestConfigValidate(t *testing.T) {
 		{"too-many-ways", func(c *Config) { c.Ways = aob.MaxWays + 1 }, "out of range"},
 		{"zero-ways-means-max", func(c *Config) { c.Ways = 0 }, ""},
 		{"max-ways", func(c *Config) { c.Ways = aob.MaxWays }, ""},
+		{"re-beyond-dense", func(c *Config) { c.Backend, c.Ways = qat.BackendRE, qat.MaxREWays }, ""},
+		{"re-too-many-ways", func(c *Config) { c.Backend, c.Ways = qat.BackendRE, qat.MaxREWays+1 }, "out of range"},
+		{"unknown-backend", func(c *Config) { c.Backend = "fpga" }, "unknown backend"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,6 +50,15 @@ func TestConfigValidate(t *testing.T) {
 				}
 				if p == nil {
 					t.Fatal("New returned nil pipeline without error")
+				}
+				// The register file is the backend's canonical one: ways 0
+				// is the full hardware, whatever the mode.
+				want := cfg.Ways
+				if want == 0 {
+					want = aob.MaxWays
+				}
+				if got := p.Machine().Qat.Ways(); got != want {
+					t.Fatalf("New(%+v) built a %d-way register file, want %d", cfg, got, want)
 				}
 				return
 			}
@@ -83,7 +96,7 @@ func runStats(t *testing.T, src string, cfg Config) Stats {
 // TestStallAccountingKnownHazards runs one program per hazard class and
 // checks the exact Stats breakdown plus the TotalStalls invariant.
 func TestStallAccountingKnownHazards(t *testing.T) {
-	fwd5 := Config{Stages: 5, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	fwd5 := Config{Config: qat.Config{Ways: 4}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	cases := []struct {
 		name string
 		src  string
@@ -126,7 +139,7 @@ func TestStallAccountingKnownHazards(t *testing.T) {
 			add $2,$1
 			lex $0,0
 			sys`,
-			cfg:  Config{Stages: 5, Ways: 4, Forwarding: false, MulLatency: 1, QatNextLatency: 1},
+			cfg:  Config{Config: qat.Config{Ways: 4}, Stages: 5, Forwarding: false, MulLatency: 1, QatNextLatency: 1},
 			want: Stats{RawStalls: 4},
 		},
 		{
@@ -138,7 +151,7 @@ func TestStallAccountingKnownHazards(t *testing.T) {
 			mul $1,$2
 			lex $0,0
 			sys`,
-			cfg:  Config{Stages: 5, Ways: 4, Forwarding: true, MulLatency: 3, QatNextLatency: 1},
+			cfg:  Config{Config: qat.Config{Ways: 4}, Stages: 5, Forwarding: true, MulLatency: 3, QatNextLatency: 1},
 			want: Stats{ExBusyStalls: 2},
 		},
 		{
@@ -150,7 +163,7 @@ func TestStallAccountingKnownHazards(t *testing.T) {
 			and @1,@2,@3
 			lex $0,0
 			sys`,
-			cfg:  Config{Stages: 5, Ways: 4, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 1, QatNextLatency: 1},
+			cfg:  Config{Config: qat.Config{Ways: 4}, Stages: 5, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 1, QatNextLatency: 1},
 			want: Stats{FetchStalls: 1},
 		},
 		{

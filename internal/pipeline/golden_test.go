@@ -24,6 +24,7 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/compile"
 	"tangled/internal/obs"
+	"tangled/internal/qat"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace files under testdata/")
@@ -31,7 +32,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace files un
 // goldenConfig is the organization the goldens pin: the paper's 4-stage
 // S3-1-style machine with forwarding and single-cycle EX.
 func goldenConfig(ways int) Config {
-	return Config{Stages: 4, Ways: ways, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	return Config{Config: qat.Config{Ways: ways}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 }
 
 // captureTrace runs prog to completion on cfg and returns the full cycle

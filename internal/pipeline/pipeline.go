@@ -30,19 +30,25 @@ import (
 	"fmt"
 	"io"
 
-	"tangled/internal/aob"
 	"tangled/internal/asm"
+	"tangled/internal/backend"
 	"tangled/internal/cpu"
 	"tangled/internal/isa"
 	"tangled/internal/obs"
+	"tangled/internal/qat"
 )
 
-// Config selects a pipeline organization.
+// Config selects a pipeline organization: the Qat register file it runs
+// over and the timing of the stages around it.
 type Config struct {
+	// Config is the Qat register file (width, constant-register variant,
+	// backend and its geometry), defaulted, range-checked and built by
+	// package backend exactly as for a functional machine. Cycle counts are
+	// architectural: every backend retires the same instructions in the
+	// same cycles.
+	qat.Config
 	// Stages is 4 (IF ID EXM WB) or 5 (IF ID EX MEM WB).
 	Stages int
-	// Ways is the Qat entanglement degree (8 for student builds, 16 full).
-	Ways int
 	// Forwarding enables EX/MEM result bypassing into EX. When false, a
 	// consumer waits in ID until the producer reaches WB (write-through
 	// register file: WB writes in the first half cycle, ID reads in the
@@ -56,33 +62,28 @@ type Config struct {
 	// QatNextLatency is the EX occupancy of the Qat next/pop instructions
 	// (>= 1), modeling the pipelined OR-reduction tree of Figure 8.
 	QatNextLatency int
-	// ConstantRegs selects the Section 5 Qat variant with @0/@1/@2..
-	// hard-wired constants instead of zero/one/had instructions.
-	ConstantRegs bool
 }
 
 // DefaultConfig is the paper's primary design point: a 5-stage fully
 // forwarded pipeline over 16-way Qat with single-cycle operations.
 func DefaultConfig() Config {
-	return Config{Stages: 5, Ways: 16, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	return Config{Config: qat.Config{Ways: 16}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 }
 
 // StudentConfig mirrors the class-project constraints: 8-way Qat (students
 // "were permitted to restrict the AoB values to 256 bits") and the 4-stage
 // organization six of the eight teams chose.
 func StudentConfig() Config {
-	return Config{Stages: 4, Ways: 8, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	return Config{Config: qat.Config{Ways: 8}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 }
 
+// validate checks the timing fields; the register file is the backend's.
 func (c Config) validate() error {
 	if c.Stages != 4 && c.Stages != 5 {
 		return fmt.Errorf("pipeline: %d stages unsupported (4 or 5)", c.Stages)
 	}
 	if c.MulLatency < 1 || c.QatNextLatency < 1 {
 		return errors.New("pipeline: latencies must be >= 1")
-	}
-	if c.Ways < 0 || c.Ways > aob.MaxWays {
-		return fmt.Errorf("pipeline: ways %d out of range [0,%d]", c.Ways, aob.MaxWays)
 	}
 	return nil
 }
@@ -169,13 +170,11 @@ func New(cfg Config) (*Pipeline, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	var m *cpu.Machine
-	if cfg.ConstantRegs {
-		m = cpu.NewWithConstants(cfg.Ways)
-	} else {
-		m = cpu.New(cfg.Ways)
+	q, err := backend.New(cfg.Config)
+	if err != nil {
+		return nil, err
 	}
-	return &Pipeline{cfg: cfg, oracle: m, lat: make([]slot, cfg.Stages)}, nil
+	return &Pipeline{cfg: cfg, oracle: cpu.NewWith(q), lat: make([]slot, cfg.Stages)}, nil
 }
 
 // Machine exposes the architectural state (registers, memory, Qat).
@@ -183,9 +182,6 @@ func (p *Pipeline) Machine() *cpu.Machine { return p.oracle }
 
 // SetOutput directs sys service output.
 func (p *Pipeline) SetOutput(w io.Writer) { p.oracle.Out = w }
-
-// Config returns the pipeline's configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
 
 // Load installs a program image and resets the pipeline.
 func (p *Pipeline) Load(prog *asm.Program) error {

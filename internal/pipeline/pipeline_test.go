@@ -8,6 +8,7 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/cpu"
 	"tangled/internal/isa"
+	"tangled/internal/qat"
 )
 
 const halt = "\nlex $0,0\nsys\n"
@@ -287,10 +288,10 @@ func TestMulLatencyAblation(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Stages: 3, Ways: 4, MulLatency: 1, QatNextLatency: 1}); err == nil {
+	if _, err := New(Config{Config: qat.Config{Ways: 4}, Stages: 3, MulLatency: 1, QatNextLatency: 1}); err == nil {
 		t.Error("3-stage accepted")
 	}
-	if _, err := New(Config{Stages: 5, Ways: 4, MulLatency: 0, QatNextLatency: 1}); err == nil {
+	if _, err := New(Config{Config: qat.Config{Ways: 4}, Stages: 5, MulLatency: 0, QatNextLatency: 1}); err == nil {
 		t.Error("0 latency accepted")
 	}
 }
@@ -333,11 +334,11 @@ func TestWrongPathGarbageIsSquashed(t *testing.T) {
 func TestDifferentialVsFunctional(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	cfgs := []Config{
-		{Stages: 5, Ways: 6, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
-		{Stages: 4, Ways: 6, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
-		{Stages: 5, Ways: 6, Forwarding: false, MulLatency: 1, QatNextLatency: 1},
-		{Stages: 4, Ways: 6, Forwarding: false, MulLatency: 3, QatNextLatency: 2},
-		{Stages: 5, Ways: 6, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 2, QatNextLatency: 4},
+		{Config: qat.Config{Ways: 6}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
+		{Config: qat.Config{Ways: 6}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1},
+		{Config: qat.Config{Ways: 6}, Stages: 5, Forwarding: false, MulLatency: 1, QatNextLatency: 1},
+		{Config: qat.Config{Ways: 6}, Stages: 4, Forwarding: false, MulLatency: 3, QatNextLatency: 2},
+		{Config: qat.Config{Ways: 6}, Stages: 5, Forwarding: true, TwoWordFetchPenalty: true, MulLatency: 2, QatNextLatency: 4},
 	}
 	for trial := 0; trial < 60; trial++ {
 		prog := randomProgram(r, 120)
@@ -569,7 +570,7 @@ func TestRetireOrderInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cfg := Config{Stages: 5, Ways: 6, Forwarding: true,
+		cfg := Config{Config: qat.Config{Ways: 6}, Stages: 5, Forwarding: true,
 			TwoWordFetchPenalty: trial%2 == 0, MulLatency: 1 + trial%3, QatNextLatency: 1 + trial%2}
 		p, err := New(cfg)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"tangled/internal/compile"
 	"tangled/internal/pipeline"
+	"tangled/internal/qat"
 )
 
 func TestRunFunctionalBatch(t *testing.T) {
@@ -34,7 +35,7 @@ func TestRunPipelinedBatchReportsPerJobErrors(t *testing.T) {
 		"lex $0,1\nlex $1,7\nsys\nlex $0,0\nsys\n",
 		"bogus $9\n", // does not assemble
 	}
-	cfg := pipeline.Config{Stages: 4, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	cfg := pipeline.Config{Config: qat.Config{Ways: 4}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	results, stats, err := RunPipelinedBatch(context.Background(), srcs, cfg, 2)
 	if err == nil {
 		t.Fatal("expected a joined error for the malformed program")
@@ -52,7 +53,7 @@ func TestRunPipelinedBatchReportsPerJobErrors(t *testing.T) {
 
 func TestFactorBatch(t *testing.T) {
 	ns := []uint64{15, 21, 35}
-	pcfg := pipeline.Config{Stages: 5, Ways: 12, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	pcfg := pipeline.Config{Config: qat.Config{Ways: 12}, Stages: 5, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	reports, stats, err := FactorBatch(context.Background(), ns, 6, 6, compile.Options{Reuse: true}, pcfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestFactorBatch(t *testing.T) {
 func TestFactorBatchReportsGenerationErrors(t *testing.T) {
 	// 255 does not fit the 6-bit first operand; 15 still succeeds.
 	ns := []uint64{255, 15}
-	pcfg := pipeline.Config{Stages: 4, Ways: 12, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
+	pcfg := pipeline.Config{Config: qat.Config{Ways: 12}, Stages: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
 	reports, _, err := FactorBatch(context.Background(), ns, 6, 6, compile.Options{Reuse: true}, pcfg, 1)
 	if err == nil || !strings.Contains(err.Error(), "255") {
 		t.Fatalf("expected a generation error naming 255, got %v", err)

@@ -10,6 +10,7 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/compile"
 	"tangled/internal/cpu"
+	"tangled/internal/farm"
 	"tangled/internal/pipeline"
 )
 
@@ -25,8 +26,8 @@ type Result struct {
 	Pipe *pipeline.Stats
 }
 
-// MaxSteps bounds all helper executions.
-const MaxSteps = 50_000_000
+// MaxSteps bounds all helper executions: the farm's default job budget.
+const MaxSteps = farm.DefaultMaxSteps
 
 // RunFunctional assembles src and executes it on the functional machine.
 func RunFunctional(src string, ways int) (*Result, error) {

@@ -45,22 +45,25 @@ const MaxREWays = 24
 // compressed would be a loss on both axes.
 const DefaultSpillRuns = 64
 
-// Config selects a register-file implementation and geometry.
-// NewFromConfig is the constructor that honors it; New/NewWithConstants
+// Config selects a register-file implementation and geometry. Package
+// backend owns its defaults and range checks (backend.Canonicalize);
+// NewFromConfig takes every field literally, and New/NewWithConstants
 // remain the dense shorthands.
 type Config struct {
-	// Ways is the entanglement degree; 0 means the full 16-way hardware.
-	// The dense backend allows [0, aob.MaxWays]; RE allows [0, MaxREWays].
+	// Ways is the entanglement degree. Canonically 0 means the full 16-way
+	// hardware; the dense backend allows [0, aob.MaxWays], RE [0, MaxREWays].
 	Ways int
 	// ConstantRegs selects the Section 5 constant-register variant.
 	ConstantRegs bool
 	// Backend is "" or BackendDense for the AoB file, BackendRE for the
 	// compressed file.
 	Backend string
-	// ChunkWays is the RE symbol size; 0 means min(Ways, aob.MaxWays).
+	// ChunkWays is the RE symbol size; canonically 0 means
+	// min(Ways, aob.MaxWays).
 	ChunkWays int
 	// SpillRuns is the RE spill budget: results with more runs are stored
-	// densely. 0 means DefaultSpillRuns; negative disables spilling.
+	// densely, and a negative budget disables spilling. Canonically 0 means
+	// DefaultSpillRuns, and a file wider than aob.MaxWays never spills.
 	SpillRuns int
 }
 
@@ -73,63 +76,34 @@ type reFile struct {
 	spills    uint64
 }
 
-// NewFromConfig builds a coprocessor per cfg. The zero Config is the
-// paper's dense 16-way hardware.
+// NewFromConfig builds the coprocessor cfg spells, taking every field
+// literally: Ways 0 is a 0-way file and the RE geometry is used as given.
+// Build through backend.New, which canonicalizes first, unless cfg is
+// already canonical. The RE symbol space rejects geometry it cannot hold.
 func NewFromConfig(cfg Config) (*Coprocessor, error) {
-	ways := cfg.Ways
 	switch cfg.Backend {
 	case "", BackendDense:
-		if ways == 0 {
-			ways = aob.MaxWays
-		}
-		if ways < 0 || ways > aob.MaxWays {
-			return nil, fmt.Errorf("qat: dense ways %d out of range [0,%d]", cfg.Ways, aob.MaxWays)
-		}
 		if cfg.ConstantRegs {
-			return NewWithConstants(ways), nil
+			return NewWithConstants(cfg.Ways), nil
 		}
-		return New(ways), nil
+		return New(cfg.Ways), nil
 	case BackendRE:
 	default:
 		return nil, fmt.Errorf("qat: unknown backend %q", cfg.Backend)
 	}
-
-	if ways == 0 {
-		ways = aob.MaxWays
-	}
-	if ways < 0 || ways > MaxREWays {
-		return nil, fmt.Errorf("qat: re ways %d out of range [0,%d]", cfg.Ways, MaxREWays)
-	}
-	chunkWays := cfg.ChunkWays
-	if chunkWays == 0 {
-		chunkWays = ways
-		if chunkWays > aob.MaxWays {
-			chunkWays = aob.MaxWays
-		}
-	}
-	if chunkWays < 0 || chunkWays > aob.MaxWays || chunkWays > ways {
-		return nil, fmt.Errorf("qat: re chunkWays %d out of range [0,min(%d,ways)]", cfg.ChunkWays, aob.MaxWays)
-	}
-	sp, err := re.NewSpace(ways, chunkWays)
+	sp, err := re.NewSpace(cfg.Ways, cfg.ChunkWays)
 	if err != nil {
 		return nil, err
 	}
-	spill := cfg.SpillRuns
-	if spill == 0 {
-		spill = DefaultSpillRuns
-	}
-	if ways > aob.MaxWays {
-		spill = -1 // no dense form exists to spill into
-	}
-	q := &Coprocessor{ways: ways}
-	q.re = &reFile{sp: sp, spillRuns: spill}
+	q := &Coprocessor{ways: cfg.Ways}
+	q.re = &reFile{sp: sp, spillRuns: cfg.SpillRuns}
 	for i := range q.re.pats {
 		q.re.pats[i] = sp.Zero()
 	}
 	if cfg.ConstantRegs {
 		q.re.pats[1] = sp.One()
 		q.reserved[0], q.reserved[1] = true, true
-		for k := 0; k < ways; k++ {
+		for k := 0; k < cfg.Ways; k++ {
 			q.re.pats[2+k] = sp.Had(k)
 			q.reserved[2+k] = true
 		}

@@ -43,7 +43,8 @@ func newBackends(t *testing.T, ways int, constRegs bool) (dense, reQ, reSpill *C
 	if err != nil {
 		t.Fatal(err)
 	}
-	reQ, err = NewFromConfig(Config{Ways: ways, ConstantRegs: constRegs, Backend: BackendRE, SpillRuns: -1})
+	reQ, err = NewFromConfig(Config{Ways: ways, ConstantRegs: constRegs, Backend: BackendRE,
+		ChunkWays: ways, SpillRuns: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestREBackendSmallChunks(t *testing.T) {
 // no dense mirror exists, so results are pinned against analytic values.
 func TestREBackendBeyondDense(t *testing.T) {
 	const ways = 18
-	q, err := NewFromConfig(Config{Ways: ways, Backend: BackendRE})
+	q, err := NewFromConfig(Config{Ways: ways, Backend: BackendRE, ChunkWays: aob.MaxWays, SpillRuns: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,8 @@ func TestREBackendBeyondDense(t *testing.T) {
 }
 
 func TestREBackendReset(t *testing.T) {
-	q, err := NewFromConfig(Config{Ways: 6, ConstantRegs: true, Backend: BackendRE})
+	q, err := NewFromConfig(Config{Ways: 6, ConstantRegs: true, Backend: BackendRE,
+		ChunkWays: 6, SpillRuns: DefaultSpillRuns})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +215,12 @@ func TestREBackendReset(t *testing.T) {
 	}
 }
 
+// TestNewFromConfigValidation: NewFromConfig takes its config literally
+// (the defaults are package backend's), rejecting only a backend it does
+// not know and RE geometry the symbol space cannot hold.
 func TestNewFromConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Ways: -1},
-		{Ways: aob.MaxWays + 1},
 		{Backend: "zstd"},
-		{Backend: BackendRE, Ways: MaxREWays + 1},
 		{Backend: BackendRE, Ways: 8, ChunkWays: 9},
 		{Backend: BackendRE, Ways: 8, ChunkWays: -1},
 	}
@@ -227,21 +229,21 @@ func TestNewFromConfigValidation(t *testing.T) {
 			t.Fatalf("config %+v accepted", cfg)
 		}
 	}
-	// Zero config is the paper's dense hardware.
+	// No defaults: the zero config is a 0-way dense file.
 	q, err := NewFromConfig(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Ways() != aob.MaxWays || q.Backend() != BackendDense {
+	if q.Ways() != 0 || q.Backend() != BackendDense {
 		t.Fatalf("zero config: ways=%d backend=%s", q.Ways(), q.Backend())
 	}
-	// RE default ways is the dense maximum, default chunk the full width.
-	q, err = NewFromConfig(Config{Backend: BackendRE})
+	// RE geometry is used as given.
+	q, err = NewFromConfig(Config{Backend: BackendRE, Ways: 9, ChunkWays: 4, SpillRuns: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Ways() != aob.MaxWays || q.Space().ChunkWays() != aob.MaxWays {
-		t.Fatalf("re defaults: ways=%d chunkWays=%d", q.Ways(), q.Space().ChunkWays())
+	if q.Ways() != 9 || q.Space().ChunkWays() != 4 {
+		t.Fatalf("re geometry: ways=%d chunkWays=%d", q.Ways(), q.Space().ChunkWays())
 	}
 }
 
@@ -260,7 +262,8 @@ func TestRejectedOpsNotMetered(t *testing.T) {
 	}
 	var meters []*energy.Meter
 	for _, backend := range []string{BackendDense, BackendRE} {
-		q, err := NewFromConfig(Config{Ways: 4, ConstantRegs: true, Backend: backend})
+		q, err := NewFromConfig(Config{Ways: 4, ConstantRegs: true, Backend: backend,
+			ChunkWays: 4, SpillRuns: DefaultSpillRuns})
 		if err != nil {
 			t.Fatal(err)
 		}

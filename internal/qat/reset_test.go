@@ -111,7 +111,8 @@ func TestResetClearsEveryWrittenRegister(t *testing.T) {
 	for _, ways := range []int{4, 16} {
 		for _, constRegs := range []bool{false, true} {
 			for _, backend := range []string{BackendDense, BackendRE} {
-				cfg := Config{Ways: ways, ConstantRegs: constRegs, Backend: backend}
+				cfg := Config{Ways: ways, ConstantRegs: constRegs, Backend: backend,
+					ChunkWays: ways, SpillRuns: DefaultSpillRuns}
 				t.Run(fmt.Sprintf("w%d/const=%v/%s", ways, constRegs, backend), func(t *testing.T) {
 					q, err := NewFromConfig(cfg)
 					if err != nil {
@@ -195,7 +196,7 @@ func FuzzResetClean(f *testing.F) {
 		}
 		cfg := Config{Ways: 1 + int(data[0]%8), ConstantRegs: data[0]&0x10 != 0}
 		if data[0]&0x20 != 0 {
-			cfg.Backend = BackendRE
+			cfg.Backend, cfg.ChunkWays, cfg.SpillRuns = BackendRE, cfg.Ways, DefaultSpillRuns
 		}
 		q, err := NewFromConfig(cfg)
 		if err != nil {

@@ -51,12 +51,12 @@ type RunRequest struct {
 	Ways int `json:"ways,omitempty"`
 	// ConstRegs selects the Section 5 constant-register Qat variant.
 	ConstRegs bool `json:"const_regs,omitempty"`
-	// Backend selects the Qat register-file representation for functional
-	// runs: "" or "dense" is the paper's bit-parallel file, "re" the
+	// Backend selects the Qat register-file representation, in either
+	// mode: "" or "dense" is the paper's bit-parallel file, "re" the
 	// run-encoded compressed file, which also unlocks Ways beyond the
 	// dense wall (up to qat.MaxREWays), and "auto" lets the server's
 	// static planner pick from the program's profile (the choice comes
-	// back in RunResult.Backend). Pipelined runs are dense-only.
+	// back in RunResult.Backend).
 	Backend string `json:"backend,omitempty"`
 	// ChunkWays and SpillRuns tune the "re" backend (0 means the backend
 	// defaults; negative SpillRuns disables spilling). Rejected for dense
@@ -132,7 +132,7 @@ type RunResult struct {
 	// request. (Additive field; the schema version is unchanged.)
 	Cached bool `json:"cached,omitempty"`
 
-	// Backend is the canonical register file that served a functional run
+	// Backend is the canonical register file that served the run
 	// ("dense"/"re"), reporting in particular what a "auto" request
 	// resolved to. (Additive field; the schema version is unchanged.)
 	Backend string `json:"backend,omitempty"`
@@ -301,8 +301,8 @@ type AssembleResponse struct {
 
 // Validate checks the request without touching a server, returning the
 // 400 verdict. The server's own spelling rules live here (one of src and
-// words, the mode and stage names, RE knobs only on "re", pipelined runs
-// dense-only); every range and unknown-backend verdict is the backend
+// words, the mode and stage names, RE knobs only on "re"); every range and
+// unknown-backend verdict is the backend
 // registry's (backend.Canonicalize), so the rules change in one place. The
 // cluster coordinator runs it before deriving a routing key, so requests
 // no worker could accept skip keyed routing.
@@ -317,9 +317,6 @@ func (r *RunRequest) Validate() error {
 	case "", "functional", "pipelined":
 	default:
 		return fmt.Errorf("program %q: mode %q is not \"functional\" or \"pipelined\"", r.ID, r.Mode)
-	}
-	if r.Mode == "pipelined" && r.Backend != "" && r.Backend != qat.BackendDense {
-		return fmt.Errorf("program %q: pipelined runs support only the dense backend", r.ID)
 	}
 	if r.Backend != qat.BackendRE && (r.ChunkWays != 0 || r.SpillRuns != 0) {
 		return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
@@ -376,13 +373,11 @@ func (r *RunRequest) FarmJob(id string, prog *asm.Program, stepCap uint64) farm.
 	if r.Mode == "pipelined" {
 		job.Mode = farm.Pipelined
 		job.Pipeline = pipeline.DefaultConfig()
+		job.Pipeline.Config = qat.Config{Ways: r.Ways, ConstantRegs: r.ConstRegs,
+			Backend: r.Backend, ChunkWays: r.ChunkWays, SpillRuns: r.SpillRuns}
 		if r.Stages != 0 {
 			job.Pipeline.Stages = r.Stages
 		}
-		if r.Ways != 0 {
-			job.Pipeline.Ways = r.Ways
-		}
-		job.Pipeline.ConstantRegs = r.ConstRegs
 		return job
 	}
 	job.Ways, job.ConstantRegs = r.Ways, r.ConstRegs

@@ -160,6 +160,34 @@ func TestHTTPAutoUnservable(t *testing.T) {
 	}
 }
 
+// TestHTTPAutoPipelined: a pipelined auto request is planned like a
+// functional one — past the dense wall it runs on RE, reports it, and
+// matches the explicit pipelined RE spelling; past every backend it is the
+// planner's 422.
+func TestHTTPAutoPipelined(t *testing.T) {
+	_, base := startTestServer(t, Config{})
+	var got [2]RunResult
+	for i, b := range []string{"auto", qat.BackendRE} {
+		resp, body := postRunJSON(t, base, &RunRequest{Src: autoWideSrc(), Mode: "pipelined", Ways: 20, Backend: b})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pipelined %s: status %d: %s", b, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &got[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Backend != qat.BackendRE || got[i].Cycles == 0 {
+			t.Fatalf("pipelined %s: backend %q, cycles %d", b, got[i].Backend, got[i].Cycles)
+		}
+	}
+	if got[0].Regs != got[1].Regs || got[0].Cycles != got[1].Cycles || got[0].Stalls != got[1].Stalls {
+		t.Fatalf("pipelined auto %+v != pipelined re %+v", got[0], got[1])
+	}
+	resp, body := postRunJSON(t, base, &RunRequest{Src: autoWideSrc(), Mode: "pipelined", Ways: qat.MaxREWays + 1, Backend: "auto"})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("pipelined auto past every backend: status %d, want 422: %s", resp.StatusCode, body)
+	}
+}
+
 // TestBuildinfoBackends pins the backend advertisement: registered names
 // plus the auto capability.
 func TestBuildinfoBackends(t *testing.T) {

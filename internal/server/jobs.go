@@ -52,7 +52,7 @@ type jobSpec struct {
 // bad programs, 429 when the job queue is full, 503 while draining.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if s.draining.Load() {

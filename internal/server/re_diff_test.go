@@ -11,11 +11,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 
 	"tangled/internal/backend"
 	"tangled/internal/farm/farmtest"
+	"tangled/internal/pipeline"
 	"tangled/internal/qasm"
 	"tangled/internal/qat"
 )
@@ -91,14 +93,14 @@ func TestDifferentialHTTPREBackend(t *testing.T) {
 }
 
 // TestREBackendValidation pins the 400-level refusals of the new request
-// fields: unknown backends, dense runs carrying RE tuning knobs, pipelined
-// RE runs, and out-of-range geometry.
+// fields: unknown backends, dense runs carrying RE tuning knobs, and
+// out-of-range geometry. Pipelined RE runs are accepted like functional
+// ones: the pipeline builds its register file through the same registry.
 func TestREBackendValidation(t *testing.T) {
 	cases := []RunRequest{
 		{Src: "sys", Backend: "zstd"},
 		{Src: "sys", ChunkWays: 4},                         // dense + RE knob
 		{Src: "sys", SpillRuns: 8},                         // dense + RE knob
-		{Src: "sys", Backend: "re", Mode: "pipelined"},     // no pipelined RE
 		{Src: "sys", Backend: "re", Ways: 25},              // above MaxREWays
 		{Src: "sys", Backend: "re", Ways: 8, ChunkWays: 9}, // chunk > ways
 		{Src: "sys", Backend: "re", ChunkWays: 17},         // chunk > dense wall
@@ -120,15 +122,22 @@ func TestREBackendValidation(t *testing.T) {
 		}
 	}
 
-	// And the happy path: an RE run above the dense wall is accepted.
-	body, _ := json.Marshal(&RunRequest{Src: "sys", Backend: "re", Ways: 20})
-	resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("re ways=20 run: status %d, want 200", resp.StatusCode)
+	// And the happy path: RE runs, above the dense wall too, are accepted
+	// in both modes.
+	for _, rq := range []RunRequest{
+		{Src: "sys", Backend: "re", Ways: 20},
+		{Src: "sys", Backend: "re", Mode: "pipelined"},
+		{Src: "sys", Backend: "re", Mode: "pipelined", Ways: 20, ChunkWays: 4},
+	} {
+		body, _ := json.Marshal(&rq)
+		resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d, want 200", rq, resp.StatusCode)
+		}
 	}
 }
 
@@ -145,8 +154,7 @@ func TestValidateAgreesWithRegistry(t *testing.T) {
 					for _, mode := range []string{"functional", "pipelined"} {
 						req := RunRequest{Src: "sys", Mode: mode, Backend: b,
 							Ways: ways, ChunkWays: chunk, SpillRuns: spill}
-						spelled := (mode != "pipelined" || b == "" || b == qat.BackendDense) &&
-							(b == qat.BackendRE || (chunk == 0 && spill == 0))
+						spelled := b == qat.BackendRE || (chunk == 0 && spill == 0)
 						cfg := qat.Config{Backend: b, Ways: ways, ChunkWays: chunk, SpillRuns: spill}
 						_, cerr := backend.Canonicalize(cfg)
 						if b == backend.Auto {
@@ -165,6 +173,49 @@ func TestValidateAgreesWithRegistry(t *testing.T) {
 							t.Errorf("%+v: Validate accepts=%v, want %v (spelling ok=%v, registry: %v)",
 								req, got, want, spelled, cerr)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDifferentialHTTPPipelinedREBackend is the pipelined RE gate over the
+// wire: the corpus submitted as pipelined "re" runs, at 4 and 5 stages,
+// 6, 12 and 16 ways, default and 4-way chunks, must come back with the
+// registers, output, instructions, cycles and stalls of direct pipelined
+// dense execution, reporting the backend that served it.
+func TestDifferentialHTTPPipelinedREBackend(t *testing.T) {
+	srcs := make([]string, farmtest.Programs)
+	for i := range srcs {
+		srcs[i] = farmtest.Generate(farmtest.Seed(i))
+	}
+	_, base := startTestServer(t, Config{BatchMax: 32})
+	for _, stages := range []int{4, 5} {
+		for _, ways := range []int{6, 12, 16} {
+			cfg := pipeline.DefaultConfig()
+			cfg.Stages, cfg.Ways = stages, ways
+			direct, _, err := qasm.RunPipelinedBatch(context.Background(), srcs, cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []int{0, 4} {
+				req := BatchRequest{ID: fmt.Sprintf("pipe-re-%d-%d-%d", stages, ways, chunk),
+					Programs: make([]RunRequest, len(srcs))}
+				for i, src := range srcs {
+					req.Programs[i] = RunRequest{Src: src, Mode: "pipelined", Stages: stages,
+						Ways: ways, Backend: qat.BackendRE, ChunkWays: chunk}
+				}
+				for n, r := range postBatch(t, base, req) {
+					d := direct[n]
+					if r.Error != "" || r.Backend != qat.BackendRE {
+						t.Fatalf("%s program %d: backend %q error %q\n%s", req.ID, n, r.Backend, r.Error, srcs[n])
+					}
+					if r.Regs != d.Regs || r.Output != d.Output || r.Insts != d.Insts ||
+						r.Cycles != d.Pipe.Cycles || r.Stalls != d.Pipe.TotalStalls() {
+						t.Fatalf("%s program %d diverged:\nre:    regs=%v output=%q insts=%d cycles=%d stalls=%d\ndense: regs=%v output=%q insts=%d cycles=%d stalls=%d\n%s",
+							req.ID, n, r.Regs, r.Output, r.Insts, r.Cycles, r.Stalls,
+							d.Regs, d.Output, d.Insts, d.Pipe.Cycles, d.Pipe.TotalStalls(), srcs[n])
 					}
 				}
 			}

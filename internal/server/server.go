@@ -361,9 +361,6 @@ func (s *Server) route(ri int, method string, h http.HandlerFunc) http.HandlerFu
 			s.writeError(sw, http.StatusMethodNotAllowed,
 				ErrorResponse{Error: fmt.Sprintf("%s requires %s", r.URL.Path, method)})
 		} else {
-			if r.Body != nil {
-				r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-			}
 			h(sw, r)
 		}
 		s.obs.observeStatus(sw.status())
@@ -490,7 +487,7 @@ func randomSalt() string {
 // while draining, 499/504 for cancelled/deadline-exceeded runs.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	id := s.requestID(req.ID, r)
@@ -548,7 +545,7 @@ func (s *Server) finishRun(w http.ResponseWriter, id string, res RunResult) {
 // chunks still run.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Programs) == 0 {
@@ -646,7 +643,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // per-line diagnostics.
 func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 	var req AssembleRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Src == "" {
@@ -830,23 +827,31 @@ func assembleErrorResponse(err error) ErrorResponse {
 	return resp
 }
 
-// decodeBody decodes a JSON body, writing the 400/413 on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(r.Body)
+// DecodeBody decodes r's body into v: one JSON value of at most limit
+// bytes with no unknown fields. On failure it writes the refusal — 413 for
+// an oversized body, 400 for a malformed one, an unknown field or trailing
+// data — and returns false. Workers and the cluster coordinator decode
+// every request body through it, so both refuse the same bodies alike.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) bool {
+	fail := func(code int, msg string) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				ErrorResponse{Error: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)})
+			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
 		} else {
-			s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
+			fail(http.StatusBadRequest, "bad request body: "+err.Error())
 		}
 		return false
 	}
 	// Tolerate (and require no more than) one JSON value.
 	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: "trailing data after JSON body"})
+		fail(http.StatusBadRequest, "trailing data after JSON body")
 		return false
 	}
 	return true

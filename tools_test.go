@@ -114,6 +114,40 @@ func TestToolchainEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunToolMachineSpellings runs one had program under every spelling
+// of the machine that must agree: -ways 0 is the 16-way hardware in both
+// modes, and the pipeline runs the RE backend past the dense wall.
+func TestRunToolMachineSpellings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	runBin := buildTool(t, dir, "tangled-run")
+	src := filepath.Join(dir, "had.asm")
+	if err := os.WriteFile(src, []byte(`
+	had @3,5
+	lex $8,0
+	next $8,@3
+	copy $1,$8
+	lex $0,1
+	sys
+	lex $0,0
+	sys
+	`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-ways", "0"},
+		{"-pipeline", "-ways", "0"},
+		{"-pipeline", "-backend", "re", "-ways", "20"},
+	} {
+		out, stderr, err := runTool(t, runBin, "", append(args, src)...)
+		if err != nil || out != "32\n" {
+			t.Fatalf("tangled-run %v: %q %v\n%s", args, out, err, stderr)
+		}
+	}
+}
+
 func TestQatFactorTool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
